@@ -87,7 +87,7 @@ AUDIT_STREAM_COUNT ?= 7
 AUDIT_STREAM_TIME  ?= 20000x
 AUDIT_STREAM_OUT   ?= BENCH_audit.json
 
-.PHONY: all vet build test race ci bench bench-dispatch bench-reliability bench-wal bench-telemetry bench-audit-stream bench-match bench-replication bench-sim audit audit-stream chaos chaos-recovery chaos-coordinator sim
+.PHONY: all vet build test race stress loc ci bench bench-dispatch bench-reliability bench-wal bench-telemetry bench-audit-stream bench-match bench-replication bench-sim audit audit-stream chaos chaos-recovery chaos-coordinator sim
 
 all: ci
 
@@ -102,6 +102,21 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress repeats the tests of the order-sensitive code under the race
+# detector — journal Seq/publication order, the dispatch pipeline's
+# re-sequencing, and the reliable links' pacer and breaker — so an
+# interleaving that fails one run in fifty surfaces before merge.
+stress:
+	$(GO) test -race -count=50 ./internal/journal/
+	$(GO) test -race -count=50 -run Pipeline ./internal/broker/
+	$(GO) test -race -count=50 -run 'Reliable|Breaker' ./internal/transport/
+
+# loc prints the production Go line count: non-test files, outside the
+# perfbench module and its build directory.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 cat | wc -l
 
 # bench runs the hot-path benchmarks (matching, broker dispatch, journal
 # append) and emits $(BENCH_OUT); benchjson fails the target when the

@@ -566,12 +566,15 @@ func (s *Stream) fire(v Violation) {
 }
 
 // advance recomputes the merged watermark and runs the settlement sweep
-// when it moved far enough. Called with s.mu held.
+// when it moved far enough. Called with s.mu held. A source that has fed
+// only unstamped records (the Lamport-0 run-config meta record) has no
+// clock position yet and, like a source not yet heard from, does not hold
+// the merge back.
 func (s *Stream) advance() {
 	wm := uint64(0)
 	first := true
 	for _, src := range s.sources {
-		if src.down {
+		if src.down || src.watermark == 0 {
 			continue
 		}
 		if first || src.watermark < wm {

@@ -81,11 +81,6 @@ type Config struct {
 	// advertisements, retractions) always run on the serialized dispatch
 	// lane. Values <= 1 keep the fully serial dispatch loop.
 	Workers int
-	// InboxCapacity bounds the broker inbox. When the inbox is full the
-	// transport handler blocks, which propagates backpressure to the
-	// sending link goroutines instead of growing the queue without bound.
-	// 0 keeps the unbounded inbox.
-	InboxCapacity int
 	// DataDir, when non-empty, enables durable broker state: routing-table
 	// mutations and movement-transaction transitions are written ahead to a
 	// log in this directory, checkpointed into snapshots, and recovered by
@@ -127,12 +122,11 @@ type Broker struct {
 	// the goroutines it owns.
 	pipe *pipeline
 
-	mu        sync.Mutex
-	inbox     []inboxItem
-	cond      *sync.Cond // signalled when the inbox gains a message or stops
-	spaceCond *sync.Cond // signalled when the bounded inbox frees a slot
-	stopped   bool
-	paused    bool
+	mu      sync.Mutex
+	inbox   []inboxItem
+	cond    *sync.Cond // signalled when the inbox gains a message or stops
+	stopped bool
+	paused  bool
 	// busy marks a scheduled-mode dispatch in flight across a service-time
 	// delay; deferred counts dispatch events consumed while paused or busy,
 	// to be re-posted when the broker frees up. Scheduled mode only.
@@ -185,7 +179,6 @@ func New(cfg Config) (*Broker, error) {
 		sched:     cfg.Net.Scheduler(),
 	}
 	b.cond = sync.NewCond(&b.mu)
-	b.spaceCond = sync.NewCond(&b.mu)
 	for _, n := range cfg.Neighbors {
 		b.neighbors[n] = true
 	}
@@ -259,7 +252,6 @@ func (b *Broker) Stop() {
 	}
 	b.queryTimers = nil
 	b.cond.Signal()
-	b.spaceCond.Broadcast()
 	b.mu.Unlock()
 	if b.sched != nil {
 		// Scheduled mode has no dispatch goroutine to wait out.
@@ -362,7 +354,6 @@ type Stats struct {
 	ID                  message.BrokerID
 	QueueDepth          int
 	QueueHighWater      int64
-	BackpressureWaits   int64
 	Processed           int64
 	DroppedPublications int64
 	SRTSize             int
@@ -393,7 +384,6 @@ func (b *Broker) Stats() Stats {
 		ID:                  b.cfg.ID,
 		QueueDepth:          depth,
 		QueueHighWater:      b.tel.QueueHighWater.Value(),
-		BackpressureWaits:   b.tel.BackpressureWaits.Value(),
 		Processed:           b.tel.Processed.Value(),
 		DroppedPublications: b.tel.DroppedPublications.Value(),
 		SRTSize:             b.srt.Len(),
@@ -420,10 +410,9 @@ type inboxItem struct {
 	at  time.Time
 }
 
-// enqueue is the transport handler: it appends to the FIFO inbox. With a
-// bounded inbox, a full queue blocks the caller (a transport link goroutine
-// or a local injector) until the dispatcher frees a slot — backpressure in
-// place of unbounded growth.
+// enqueue is the transport handler: it appends to the FIFO inbox and wakes
+// the dispatch driver — the goroutine in real time, one loop event per
+// queued item in scheduled mode.
 func (b *Broker) enqueue(env message.Envelope) {
 	it := inboxItem{env: env}
 	if b.tel.StageTimingEnabled() {
@@ -431,14 +420,6 @@ func (b *Broker) enqueue(env message.Envelope) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Backpressure blocking would deadlock the single event-loop goroutine,
-	// so scheduled mode keeps the inbox unbounded.
-	if cap := b.cfg.InboxCapacity; b.sched == nil && cap > 0 && len(b.inbox) >= cap && !b.stopped {
-		b.tel.BackpressureWaits.Inc()
-		for len(b.inbox) >= cap && !b.stopped {
-			b.spaceCond.Wait()
-		}
-	}
 	if b.stopped {
 		b.cfg.Net.Done(env.Msg)
 		return
@@ -456,57 +437,58 @@ func (b *Broker) enqueue(env message.Envelope) {
 	b.cond.Signal()
 }
 
-// dispatchOne is the scheduled-mode dispatcher: one loop event processes one
-// inbox item. A per-message service time does not sleep — it re-posts the
-// tail of the dispatch as a later event, leaving the loop free, so simulated
-// broker congestion behaves like the real dispatch goroutine's.
-func (b *Broker) dispatchOne() {
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		return
-	}
-	if b.paused || b.busy {
-		b.deferred++
-		b.mu.Unlock()
-		return
-	}
-	if len(b.inbox) == 0 {
-		b.mu.Unlock()
-		return
-	}
+// The dispatch path is one step with two drivers. pop takes the inbox head
+// and step journals, processes and accounts it; between them sits the
+// per-message service cost, which the real-time driver (run) sleeps and the
+// scheduled driver (dispatchOne) turns into a later loop event. Both drivers
+// pop strictly in inbox order and never overlap two steps, which is the
+// serialized dispatch lane the movement protocol's FIFO arguments rely on.
+
+// pop removes the inbox head. Caller holds b.mu and has checked the inbox
+// is non-empty, and passes the item to dequeued after releasing b.mu.
+func (b *Broker) pop() inboxItem {
 	it := b.inbox[0]
 	b.inbox = b.inbox[1:]
 	b.tel.QueueDepth.Set(int64(len(b.inbox)))
-	var cost time.Duration
-	if b.cfg.ServiceTime > 0 {
-		cost = b.cfg.ServiceTime
-		if it.env.Msg.Kind().IsControl() {
-			cost /= 4
-		}
-		b.busy = true
-	}
-	b.mu.Unlock()
+	return it
+}
+
+// dequeued records a popped item's inbox wait — outside b.mu, so the stage
+// timer never lengthens the lock hold enqueue contends on — and returns
+// its envelope.
+func (b *Broker) dequeued(it inboxItem) message.Envelope {
 	if !it.at.IsZero() {
 		b.tel.InboxWait.Observe(b.clk.Since(it.at))
 	}
-	if cost > 0 {
-		b.sched.AfterFunc(cost, func() { b.finishDispatch(it.env) })
-		return
-	}
-	b.finishDispatch(it.env)
+	return it.env
 }
 
-// finishDispatch journals, processes and accounts one envelope, then
-// releases any dispatch events deferred while the broker was busy.
-func (b *Broker) finishDispatch(env message.Envelope) {
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		b.cfg.Net.Done(env.Msg)
-		return
+// serviceCost is the simulated processing cost of one message (see
+// Config.ServiceTime): movement control messages cost a quarter of a
+// routing message.
+func (b *Broker) serviceCost(m message.Message) time.Duration {
+	if m.Kind().IsControl() {
+		return b.cfg.ServiceTime / 4
 	}
-	b.mu.Unlock()
+	return b.cfg.ServiceTime
+}
+
+// step dispatches one popped envelope on the serialized lane: journal the
+// dispatch, process it, and account for it.
+func (b *Broker) step(env message.Envelope) {
+	b.journalDispatch(env)
+	// Measure the real dispatch cost (matching and forwarding), not the
+	// simulated service delay the driver already paid.
+	t0 := b.clk.Now()
+	b.process(env)
+	b.tel.DispatchLatency.Observe(b.clk.Since(t0))
+	b.tel.SRTSize.Set(int64(b.srt.Len()))
+	b.tel.PRTSize.Set(int64(b.prt.Len()))
+	b.complete(env.Msg)
+}
+
+// journalDispatch records that the broker began dispatching env.
+func (b *Broker) journalDispatch(env message.Envelope) {
 	if j := b.journal(); j != nil {
 		j.Add(journal.Record{
 			Site: string(b.cfg.ID), Cat: journal.CatBroker, Kind: journal.KindDispatch,
@@ -515,23 +497,18 @@ func (b *Broker) finishDispatch(env message.Envelope) {
 			Detail: env.Msg.Kind().String(),
 		})
 	}
-	t0 := b.clk.Now()
-	b.process(env)
-	b.tel.DispatchLatency.Observe(b.clk.Since(t0))
-	b.tel.Processed.Inc()
-	b.tel.SRTSize.Set(int64(b.srt.Len()))
-	b.tel.PRTSize.Set(int64(b.prt.Len()))
-	b.cfg.Net.Done(env.Msg)
-	b.mu.Lock()
-	b.busy = false
-	again := b.deferred
-	b.deferred = 0
-	b.mu.Unlock()
-	for i := 0; i < again; i++ {
-		b.sched.Post(b.dispatchOne)
-	}
 }
 
+// complete ends one message's accounting: counted as processed, then
+// released from the network's in-flight set.
+func (b *Broker) complete(m message.Message) {
+	b.tel.Processed.Inc()
+	b.cfg.Net.Done(m)
+}
+
+// run is the real-time dispatch driver: one goroutine pops the inbox in
+// FIFO order, sleeps each message's service cost, and steps it — or, with
+// the worker pipeline, hands publications to the parallel lane.
 func (b *Broker) run() {
 	defer close(b.done)
 	if b.cfg.Workers > 1 {
@@ -547,30 +524,16 @@ func (b *Broker) run() {
 			b.mu.Unlock()
 			return
 		}
-		it := b.inbox[0]
-		b.inbox = b.inbox[1:]
-		b.tel.QueueDepth.Set(int64(len(b.inbox)))
-		b.spaceCond.Signal()
+		it := b.pop()
 		b.mu.Unlock()
-		env := it.env
-		if !it.at.IsZero() {
-			b.tel.InboxWait.Observe(b.clk.Since(it.at))
-		}
-
-		if j := b.journal(); j != nil {
-			j.Add(journal.Record{
-				Site: string(b.cfg.ID), Cat: journal.CatBroker, Kind: journal.KindDispatch,
-				Lamport: b.clock(j).Tick(), Tx: string(env.Msg.Tag()),
-				Ref: message.RefOf(env.Msg), From: string(env.From),
-				Detail: env.Msg.Kind().String(),
-			})
-		}
+		env := b.dequeued(it)
 
 		if b.pipe != nil {
 			if m, ok := env.Msg.(message.Publish); ok {
 				// Publications take the parallel lane: matching runs in the
 				// worker pool and the committer re-establishes inbox order
 				// before egress. Accounting for the message completes there.
+				b.journalDispatch(env)
 				b.pipe.submit(env, m)
 				continue
 			}
@@ -579,23 +542,64 @@ func (b *Broker) run() {
 			// overtake — an in-flight publication.
 			b.pipe.drain()
 		}
-
-		if b.cfg.ServiceTime > 0 {
-			cost := b.cfg.ServiceTime
-			if env.Msg.Kind().IsControl() {
-				cost /= 4
-			}
+		if cost := b.serviceCost(env.Msg); cost > 0 {
 			b.clk.Sleep(cost)
 		}
-		// Measure the real dispatch cost (matching and forwarding), not the
-		// simulated service delay above.
-		t0 := b.clk.Now()
-		b.process(env)
-		b.tel.DispatchLatency.Observe(b.clk.Since(t0))
-		b.tel.Processed.Inc()
-		b.tel.SRTSize.Set(int64(b.srt.Len()))
-		b.tel.PRTSize.Set(int64(b.prt.Len()))
+		b.step(env)
+	}
+}
+
+// dispatchOne is the scheduled-mode dispatch driver: one loop event pops one
+// inbox item. A service cost does not sleep — the step becomes a later
+// event, leaving the loop free, and busy holds off further pops until it
+// runs, so simulated broker congestion behaves like the real driver's.
+// Dispatch events consumed while paused or busy are counted in deferred and
+// re-posted when the broker frees up.
+func (b *Broker) dispatchOne() {
+	b.mu.Lock()
+	if b.stopped {
+		b.mu.Unlock()
+		return
+	}
+	if b.paused || b.busy {
+		b.deferred++
+		b.mu.Unlock()
+		return
+	}
+	if len(b.inbox) == 0 {
+		b.mu.Unlock()
+		return
+	}
+	it := b.pop()
+	cost := b.serviceCost(it.env.Msg)
+	b.busy = cost > 0
+	b.mu.Unlock()
+	env := b.dequeued(it)
+	if cost > 0 {
+		b.sched.AfterFunc(cost, func() { b.finishDispatch(env) })
+		return
+	}
+	b.finishDispatch(env)
+}
+
+// finishDispatch is the scheduled driver's tail: step the envelope unless
+// the broker stopped meanwhile, then release the deferred dispatch events.
+func (b *Broker) finishDispatch(env message.Envelope) {
+	b.mu.Lock()
+	if b.stopped {
+		b.mu.Unlock()
 		b.cfg.Net.Done(env.Msg)
+		return
+	}
+	b.mu.Unlock()
+	b.step(env)
+	b.mu.Lock()
+	b.busy = false
+	again := b.deferred
+	b.deferred = 0
+	b.mu.Unlock()
+	for i := 0; i < again; i++ {
+		b.sched.Post(b.dispatchOne)
 	}
 }
 

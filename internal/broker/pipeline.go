@@ -158,8 +158,8 @@ func (p *pipeline) worker() {
 	defer p.wg.Done()
 	b := p.b
 	for t := range p.workCh {
-		if b.cfg.ServiceTime > 0 {
-			b.clk.Sleep(b.cfg.ServiceTime)
+		if cost := b.serviceCost(t.m); cost > 0 {
+			b.clk.Sleep(cost)
 		}
 		t0 := b.clk.Now()
 		plan := &pubPlan{env: t.env, m: t.m, actions: b.planPublish(t.m, t.env.From)}
@@ -197,8 +197,7 @@ func (p *pipeline) committer() {
 // finish completes one publication's accounting after its last egress
 // action (or immediately when it matched nothing).
 func (p *pipeline) finish(plan *pubPlan) {
-	p.b.cfg.Net.Done(plan.env.Msg)
-	p.b.tel.Processed.Inc()
+	p.b.complete(plan.env.Msg)
 	p.outMu.Lock()
 	p.outstanding--
 	if p.outstanding == 0 {

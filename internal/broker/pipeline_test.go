@@ -20,7 +20,7 @@ import (
 // newPipelinePair builds two linked brokers b1-b2 with the given dispatch
 // width and returns them (started, with cleanup registered) along with the
 // shared registry, whose in-flight accounting the tests use as a barrier.
-func newPipelinePair(t *testing.T, workers, inboxCap int) (*Broker, *Broker, *transport.Network, *metrics.Registry) {
+func newPipelinePair(t *testing.T, workers int) (*Broker, *Broker, *transport.Network, *metrics.Registry) {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	net := transport.NewNetwork(reg)
@@ -42,7 +42,7 @@ func newPipelinePair(t *testing.T, workers, inboxCap int) (*Broker, *Broker, *tr
 		}
 		b, err := New(Config{
 			ID: id, Net: net, Neighbors: top.Neighbors(id), NextHops: hops,
-			Workers: workers, InboxCapacity: inboxCap,
+			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +77,7 @@ func settle(t *testing.T, reg *metrics.Registry) {
 // from one source arrive in that source's publish order.
 func testPipelineOrdering(t *testing.T, workers int) {
 	t.Helper()
-	b1, b2, _, reg := newPipelinePair(t, workers, 0)
+	b1, b2, _, reg := newPipelinePair(t, workers)
 
 	const sources = 4
 	const perSource = 200
@@ -168,7 +168,7 @@ func TestPipelineOrderingParallel(t *testing.T) { testPipelineOrdering(t, 8) }
 // unsubscription enqueued after a burst of publications must not overtake
 // them — every publication published before the unsubscribe is delivered.
 func TestPipelineControlBarrier(t *testing.T) {
-	b1, _, _, reg := newPipelinePair(t, 8, 0)
+	b1, _, _, reg := newPipelinePair(t, 8)
 
 	var delivered atomic.Int64
 	subNode := message.ClientNode("sub", "b1")
@@ -200,62 +200,5 @@ func TestPipelineControlBarrier(t *testing.T) {
 	}
 	if got := delivered.Load(); got != pubs {
 		t.Fatalf("delivered %d of %d publications enqueued before the unsubscribe", got, pubs)
-	}
-}
-
-// TestInboxBackpressure verifies that a bounded inbox blocks producers
-// instead of growing without bound: with the broker paused, injecting past
-// the capacity must park the producer until Unpause frees slots, and the
-// backpressure counter must record the episode.
-func TestInboxBackpressure(t *testing.T) {
-	const capacity = 8
-	b1, _, _, reg := newPipelinePair(t, 1, capacity)
-
-	var delivered atomic.Int64
-	subNode := message.ClientNode("sub", "b1")
-	pubNode := message.ClientNode("pub", "b1")
-	b1.AttachClient(subNode, func(message.Publish) { delivered.Add(1) })
-	b1.Inject(pubNode, message.Advertise{ID: "a1", Client: "pub", Filter: predicate.MustParse("[x,>,0]")})
-	b1.Inject(subNode, message.Subscribe{ID: "s1", Client: "sub", Filter: predicate.MustParse("[x,>,0]")})
-	settle(t, reg)
-	if b1.Stats().PRTSize < 1 {
-		t.Fatal("subscription never installed")
-	}
-
-	b1.Pause()
-	const pubs = 3 * capacity
-	producerDone := make(chan struct{})
-	go func() {
-		defer close(producerDone)
-		for i := 0; i < pubs; i++ {
-			b1.Inject(pubNode, message.Publish{
-				ID:    message.PubID(fmt.Sprintf("p%d", i)),
-				Event: predicate.Event{"x": predicate.Number(float64(1 + i))},
-			})
-		}
-	}()
-
-	select {
-	case <-producerDone:
-		t.Fatal("producer ran past a full paused inbox without blocking")
-	case <-time.After(100 * time.Millisecond):
-		// Producer is parked on the full inbox, as intended.
-	}
-	if b1.Stats().BackpressureWaits == 0 {
-		t.Fatal("backpressure wait not recorded")
-	}
-	if depth := b1.Stats().QueueDepth; depth > capacity {
-		t.Fatalf("inbox depth %d exceeds capacity %d", depth, capacity)
-	}
-
-	b1.Unpause()
-	select {
-	case <-producerDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("producer still blocked after Unpause")
-	}
-	settle(t, reg)
-	if got := delivered.Load(); got != pubs {
-		t.Fatalf("delivered %d of %d", got, pubs)
 	}
 }

@@ -43,9 +43,6 @@ type Options struct {
 	// Workers sets each broker's publication dispatch parallelism
 	// (broker.Config.Workers); <= 1 keeps the serial dispatch loop.
 	Workers int
-	// InboxCapacity bounds each broker's inbox (broker.Config.InboxCapacity);
-	// 0 keeps the unbounded inbox.
-	InboxCapacity int
 	// MoveTimeout arms the non-blocking movement variant (0 = blocking).
 	MoveTimeout time.Duration
 	// Admission is the target-side admission policy (nil accepts all).
@@ -211,7 +208,6 @@ func (c *Cluster) newBroker(id message.BrokerID) (*broker.Broker, error) {
 		Covering:             c.opts.Covering,
 		ServiceTime:          c.opts.ServiceTime,
 		Workers:              c.opts.Workers,
-		InboxCapacity:        c.opts.InboxCapacity,
 		SnapshotEvery:        c.opts.SnapshotEvery,
 		RecoveryQueryTimeout: c.opts.RecoveryQueryTimeout,
 	}

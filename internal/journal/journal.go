@@ -153,7 +153,6 @@ const DefaultCapacity = 1 << 18
 // Journal is the flight recorder. A nil *Journal is valid and disabled.
 type Journal struct {
 	clocks sync.Map // site string -> *Clock
-	seq    atomic.Uint64
 	run    atomic.Int64
 	wall   atomic.Int64 // cached wall clock (unix nanos) for ring-only stamps
 	sinkOn atomic.Bool  // fast-path guard: skip sinkMu when no sink installed
@@ -163,11 +162,14 @@ type Journal struct {
 	taps  []*Tap
 
 	mu      sync.Mutex
+	seq     uint64 // last stamped sequence number
 	ring    []Record
 	next    int
 	size    int
 	dropped uint64
 
+	// sinkMu guards the sink and also orders publication: Add takes it
+	// before releasing mu, so taps and the sink see records in Seq order.
 	sinkMu  sync.Mutex
 	sink    *bufio.Writer
 	sinkC   io.Closer
@@ -264,20 +266,22 @@ func (j *Journal) now(seq uint64) time.Time {
 
 // Add appends one record, stamping its sequence number, run (when zero),
 // and wall time (when zero). The ring overwrite discards the oldest record
-// once full; Dropped counts the overwrites.
+// once full; Dropped counts the overwrites. Seq is stamped under the ring
+// lock, so ring order, tap delivery order and sink order all equal Seq
+// order.
 func (j *Journal) Add(r Record) {
 	if j == nil {
 		return
 	}
-	r.Seq = j.seq.Add(1)
+	j.mu.Lock()
+	j.seq++
+	r.Seq = j.seq
 	if r.Run == 0 {
 		r.Run = j.run.Load()
 	}
 	if r.Wall.IsZero() {
 		r.Wall = j.now(r.Seq)
 	}
-
-	j.mu.Lock()
 	if j.size == len(j.ring) {
 		j.dropped++
 	} else {
@@ -288,17 +292,20 @@ func (j *Journal) Add(r Record) {
 	if j.next == len(j.ring) {
 		j.next = 0
 	}
-	j.mu.Unlock()
-
-	if j.tapsOn.Load() {
-		j.deliverTaps(r)
-	}
-
-	if !j.sinkOn.Load() {
+	taps, sink := j.tapsOn.Load(), j.sinkOn.Load()
+	if !taps && !sink {
+		j.mu.Unlock()
 		return
 	}
+	// Hand over to the publication lock before releasing the ring lock:
+	// the next Add cannot publish until this record has been.
 	j.sinkMu.Lock()
-	if j.sink != nil && j.sinkErr == nil {
+	j.mu.Unlock()
+	defer j.sinkMu.Unlock()
+	if taps {
+		j.deliverTaps(r)
+	}
+	if sink && j.sink != nil && j.sinkErr == nil {
 		data, err := json.Marshal(r)
 		if err == nil {
 			if _, err = j.sink.Write(data); err == nil {
@@ -307,7 +314,6 @@ func (j *Journal) Add(r Record) {
 		}
 		j.sinkErr = err
 	}
-	j.sinkMu.Unlock()
 }
 
 // Len returns the number of records currently held by the ring.

@@ -184,6 +184,9 @@ func TestSortCausal(t *testing.T) {
 
 func TestJournalConcurrentAppend(t *testing.T) {
 	j := New(1024)
+	tap := j.Subscribe(8 * 500)
+	var sink bytes.Buffer
+	j.SinkWriter(&sink)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -202,11 +205,35 @@ func TestJournalConcurrentAppend(t *testing.T) {
 	if got := j.Dropped(); got != 8*500-1024 {
 		t.Fatalf("dropped = %d, want %d", got, 8*500-1024)
 	}
-	// Seq values in the snapshot must be strictly increasing.
-	snap := j.Snapshot()
-	for i := 1; i < len(snap); i++ {
-		if snap[i].Seq <= snap[i-1].Seq {
-			t.Fatalf("seq not increasing at %d: %d then %d", i, snap[i-1].Seq, snap[i].Seq)
+	// Seq values must be strictly increasing in the snapshot, and the tap
+	// and the sink must see every record in Seq order.
+	increasing := func(what string, recs []Record) {
+		t.Helper()
+		for i := 1; i < len(recs); i++ {
+			if recs[i].Seq <= recs[i-1].Seq {
+				t.Fatalf("%s: seq not increasing at %d: %d then %d", what, i, recs[i-1].Seq, recs[i].Seq)
+			}
 		}
 	}
+	increasing("ring", j.Snapshot())
+	tap.Close()
+	var tapped []Record
+	for r := range tap.C() {
+		tapped = append(tapped, r)
+	}
+	if len(tapped) != 8*500 {
+		t.Fatalf("tap saw %d records, want %d", len(tapped), 8*500)
+	}
+	increasing("tap", tapped)
+	if err := j.CloseSink(); err != nil {
+		t.Fatal(err)
+	}
+	sunk, err := ReadJSONL(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sunk) != 8*500 {
+		t.Fatalf("sink holds %d records, want %d", len(sunk), 8*500)
+	}
+	increasing("sink", sunk)
 }

@@ -58,8 +58,8 @@ type Ticker interface {
 
 // Scheduler is the capability a Clock exposes when it owns a serialized
 // event loop. Components that normally run their own goroutines (link
-// delivery, broker dispatch, retransmit pacing) detect it with a type
-// assertion and post events instead, so the whole cluster executes on one
+// delivery, broker dispatch) detect it with a type assertion and post
+// events instead, so the whole cluster executes on one
 // goroutine in a deterministic order.
 type Scheduler interface {
 	Clock

@@ -218,9 +218,6 @@ type BrokerMetrics struct {
 	QueueDepth Gauge
 	// QueueHighWater is the maximum inbox length seen since start.
 	QueueHighWater MaxGauge
-	// BackpressureWaits counts times a sender blocked because the bounded
-	// inbox was full (one increment per blocking episode, not per retry).
-	BackpressureWaits Counter
 	// Processed counts messages fully processed by the dispatch loop.
 	Processed Counter
 	// DroppedPublications counts publications discarded because no
@@ -336,7 +333,6 @@ func (bm *BrokerMetrics) writeProm(pb *PromBuilder, broker string) {
 	l := []Label{{"broker", broker}}
 	pb.Gauge("padres_broker_queue_depth", "Current broker inbox length.", l, bm.QueueDepth.Value())
 	pb.Gauge("padres_broker_queue_high_water", "Maximum inbox length seen since start.", l, bm.QueueHighWater.Value())
-	pb.Counter("padres_broker_backpressure_waits_total", "Blocking episodes on the bounded inbox.", l, bm.BackpressureWaits.Value())
 	pb.Counter("padres_broker_processed_total", "Messages fully processed by the dispatch loop.", l, bm.Processed.Value())
 	pb.Counter("padres_broker_dropped_publications_total", "Publications discarded because no advertisement matched.", l, bm.DroppedPublications.Value())
 	pb.Gauge("padres_broker_srt_size", "Subscription routing table size.", l, bm.SRTSize.Value())

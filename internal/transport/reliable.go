@@ -5,12 +5,13 @@ import (
 	"time"
 
 	"padres/internal/message"
+	"padres/internal/sim"
 )
 
 // The link reliability layer: control-plane traffic on a Reliable link is
 // stamped with a per-link monotonic sequence number and held in a bounded
-// resend queue until the receiver's cumulative ack covers it. A dedicated
-// per-link goroutine retransmits overdue entries with jittered exponential
+// resend queue until the receiver's cumulative ack covers it. A per-link
+// timer chain retransmits overdue entries with jittered exponential
 // backoff; the receive side deduplicates (seq <= cum) and resequences
 // out-of-order arrivals so injected duplicates, reorderings, and
 // retransmits never double-apply routing or 3PC state. A pending entry
@@ -74,10 +75,10 @@ func reliableKind(k message.Kind) bool {
 
 // pendingMsg is one unacknowledged resend-queue entry. nextAt is stamped
 // lazily: the send path leaves it zero (sparing a clock read per message)
-// and the retransmit loop fills it in on its next wake-up, which happens
-// within one Base period of the append. An entry's first retransmission
-// may therefore lag its send by up to 2*Base — retransmit pacing is
-// best-effort; correctness rides on the ack/dedup protocol.
+// and the retransmit pacer fills it in when it next arms or fires, which
+// happens within one Base period of the append. An entry's first
+// retransmission may therefore lag its send by up to 2*Base — retransmit
+// pacing is best-effort; correctness rides on the ack/dedup protocol.
 type pendingMsg struct {
 	env      message.Envelope
 	attempts int
@@ -112,14 +113,12 @@ type relState struct {
 	down  bool
 	epoch uint64
 
-	// timerArmed (under mu) is true while the retransmit loop has a timer
-	// pending; senders then skip the wake-up kick entirely — the firing
-	// timer recomputes every deadline, including newly appended entries'.
-	timerArmed bool
-
-	kick chan struct{} // wakes the retransmit loop after queue changes
-	quit chan struct{}
-	once sync.Once
+	// timer (under mu) is the armed retransmit pacer, nil while idle;
+	// senders skip arming while it is set — the firing timer recomputes
+	// every deadline, including newly appended entries'. closed (under mu)
+	// is set by shutdown, after which the pacer never re-arms.
+	timer  sim.Timer
+	closed bool
 
 	// ackDelay is the ack coalescing window: in-order deliveries arm one
 	// timer and the cumulative ack covers everything that arrived inside
@@ -140,8 +139,6 @@ func newRelState(opts RetransmitOptions, seed int64) *relState {
 	return &relState{
 		opts:     opts,
 		rng:      newLockedRand(seed),
-		kick:     make(chan struct{}, 1),
-		quit:     make(chan struct{}),
 		ackDelay: delay,
 	}
 }
@@ -157,21 +154,18 @@ func (r *relState) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
 }
 
-// kickLoop nudges the retransmit goroutine to recompute its deadline.
-func (r *relState) kickLoop() {
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
-}
-
-// shutdown stops the retransmit goroutine and releases the accounting of
-// everything still pending or buffered. Pending entries the receiver
-// already accepted carry no token (it was released at first accept), so
-// only never-accepted entries and buffered frames release here.
+// shutdown stops the retransmit pacer for good and releases the
+// accounting of everything still pending or buffered. Pending entries the
+// receiver already accepted carry no token (it was released at first
+// accept), so only never-accepted entries and buffered frames release
+// here.
 func (r *relState) shutdown(n *Network) {
-	r.once.Do(func() { close(r.quit) })
 	r.mu.Lock()
+	r.closed = true
+	if r.timer != nil {
+		r.timer.Stop()
+		r.timer = nil
+	}
 	pend := r.pend
 	r.pend = nil
 	r.rmu.Lock()
@@ -279,7 +273,7 @@ func (n *Network) resetBreaker(l *link) {
 	}
 	n.tel.LinksDown.Dec()
 	n.notifyLinkState(l.from, l.to, true)
-	l.kickRetransmit()
+	l.armRetransmit()
 }
 
 // sendReliable assigns the next sequence number, parks the message in the
@@ -314,18 +308,17 @@ func (n *Network) sendReliable(l *link, msg message.Message) error {
 	env.Seq = r.nextSeq
 	r.pend = append(r.pend, pendingMsg{env: env, sentAt: sentAt})
 	l.lm.ResendDepth.Set(int64(len(r.pend)))
-	// Wake the retransmit loop only when it is idle with no timer armed:
-	// an armed timer recomputes every deadline (including this entry's)
-	// when it fires, and after a full ack the armed timer is at most one
-	// backoff period out. Skipping the wake-up otherwise keeps the
-	// loss-free fast path free of per-send goroutine churn; the worst case
-	// is a first retransmit delayed by up to one extra backoff period,
+	// Arm the pacer only when it is idle: an armed timer recomputes every
+	// deadline (including this entry's) when it fires, and after a full ack
+	// it is at most one backoff period out. Skipping the arm otherwise
+	// keeps the loss-free fast path free of per-send timer churn; the worst
+	// case is a first retransmit delayed by up to one extra backoff period,
 	// which only matters when loss is already present.
-	wake := len(r.pend) == 1 && !r.timerArmed
+	wake := len(r.pend) == 1 && r.timer == nil
 	epoch := r.epoch
 	r.mu.Unlock()
 	if wake {
-		l.kickRetransmit()
+		l.armRetransmit()
 	}
 	l.enqueue(env, true, epoch)
 	return nil
@@ -356,7 +349,7 @@ func (n *Network) sendReliableBatch(l *link, msgs []message.Message) error {
 		l.lm.DeadLetters.Add(int64(len(msgs)))
 		return n.deadLetterPrepared(msgs)
 	}
-	wake := len(r.pend) == 0 && !r.timerArmed
+	wake := len(r.pend) == 0 && r.timer == nil
 	for i := range envs {
 		r.nextSeq++
 		envs[i].Seq = r.nextSeq
@@ -366,7 +359,7 @@ func (n *Network) sendReliableBatch(l *link, msgs []message.Message) error {
 	epoch := r.epoch
 	r.mu.Unlock()
 	if wake {
-		l.kickRetransmit()
+		l.armRetransmit()
 	}
 	l.enqueueBatch(envs, epoch)
 	return nil
@@ -511,7 +504,7 @@ func (n *Network) sendAck(l *link, cum uint64, epoch uint64) {
 // sender-side mu, safe for the overlapping callers the direct ack path
 // produces (an ack-window timer flush racing a duplicate's re-ack).
 //
-// The retransmit loop is deliberately not woken here: after a trim its
+// The retransmit pacer is deliberately not re-armed here: after a trim its
 // armed timer just fires at the now-acked entry's old deadline, finds
 // nothing due, and goes back to sleep. One spurious wake per retransmit
 // period is far cheaper than a forced wake per ack window.
@@ -566,27 +559,18 @@ func (n *Network) handleAck(l *link, ack message.LinkAck) {
 	r.mu.Unlock()
 }
 
-// kickRetransmit nudges the link's retransmit pacing after a queue change:
-// in real time it wakes the pacing goroutine, in scheduled mode it arms (or
-// relies on) the pacing event on the loop.
-func (l *link) kickRetransmit() {
-	if l.net.sched != nil {
-		l.armRetransmitEvent()
-		return
-	}
-	l.rel.kickLoop()
-}
-
-// armRetransmitEvent is the scheduled-mode pacer: stamp the deadlines the
-// send path left zero, post one loop event at the earliest, and have the
-// event resend what is due and re-arm itself while entries remain. It
-// shares the timerArmed flag with the goroutine pacer, so senders skip
-// redundant arms exactly as they skip redundant kicks.
-func (l *link) armRetransmitEvent() {
+// armRetransmit is the link's retransmit pacer, in real and simulated time
+// alike: stamp the deadlines the send path left zero, arm one timer on the
+// network clock at the earliest, and have the firing resend what is due and
+// re-arm while entries remain. The clock makes it a time.AfterFunc in real
+// time and a loop event in scheduled mode. The timer is published under mu
+// before a firing can observe it, so a sender that sees it set may skip
+// arming: the firing recomputes every deadline.
+func (l *link) armRetransmit() {
 	r := l.rel
 	r.mu.Lock()
-	if r.down || len(r.pend) == 0 || r.timerArmed {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.closed || r.down || len(r.pend) == 0 || r.timer != nil {
 		return
 	}
 	now := l.net.clk.Now()
@@ -600,76 +584,13 @@ func (l *link) armRetransmitEvent() {
 			next = p.nextAt
 		}
 	}
-	r.timerArmed = true
-	r.mu.Unlock()
-	l.net.sched.AfterFunc(next.Sub(now), func() {
+	r.timer = l.net.clk.AfterFunc(next.Sub(now), func() {
 		r.mu.Lock()
-		r.timerArmed = false
+		r.timer = nil
 		r.mu.Unlock()
 		l.resendDue()
-		l.armRetransmitEvent()
+		l.armRetransmit()
 	})
-}
-
-// retransmitLoop is the per-reliable-link pacing goroutine: it sleeps
-// until the earliest pending deadline, resends what is due, and trips the
-// breaker when an entry exhausts its attempts.
-func (l *link) retransmitLoop() {
-	defer l.net.wg.Done()
-	r := l.rel
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		r.mu.Lock()
-		wait := time.Duration(-1)
-		if !r.down && len(r.pend) > 0 {
-			// Stamp deadlines the send path left zero, then find the
-			// earliest. The jitter roll happens here, off the send path.
-			now := time.Now()
-			var next time.Time
-			for i := range r.pend {
-				p := &r.pend[i]
-				if p.nextAt.IsZero() {
-					p.nextAt = now.Add(r.backoff(0))
-				}
-				if next.IsZero() || p.nextAt.Before(next) {
-					next = p.nextAt
-				}
-			}
-			if wait = time.Until(next); wait < 0 {
-				wait = 0
-			}
-		}
-		// Published under mu before the timer is actually reset: a sender
-		// that observes timerArmed and skips its kick is covered either by
-		// the upcoming Reset or by the recompute that follows resendDue.
-		r.timerArmed = wait >= 0
-		r.mu.Unlock()
-		if wait < 0 {
-			// Idle: nothing pending (or breaker open) — wait for a kick.
-			select {
-			case <-r.quit:
-				return
-			case <-r.kick:
-			}
-			continue
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-r.quit:
-			return
-		case <-r.kick:
-			continue
-		case <-timer.C:
-		}
-		l.resendDue()
-	}
 }
 
 // resendDue retransmits every overdue pending entry, advancing its backoff
@@ -680,14 +601,14 @@ func (l *link) resendDue() {
 	now := n.clk.Now()
 	var copies []message.Envelope
 	r.mu.Lock()
-	if r.down {
+	if r.closed || r.down {
 		r.mu.Unlock()
 		return
 	}
 	for i := range r.pend {
 		p := &r.pend[i]
 		if p.nextAt.IsZero() {
-			// Appended since the loop last stamped deadlines: not due yet.
+			// Appended since the pacer last stamped deadlines: not due yet.
 			p.nextAt = now.Add(r.backoff(0))
 			continue
 		}
@@ -704,12 +625,13 @@ func (l *link) resendDue() {
 		p.nextAt = now.Add(r.backoff(p.attempts))
 		copies = append(copies, p.env)
 	}
+	// Counted under mu, so nothing is counted once shutdown has returned.
+	n.tel.Retransmits.Add(int64(len(copies)))
+	l.lm.Retransmits.Add(int64(len(copies)))
 	epoch := r.epoch
 	r.mu.Unlock()
 	for _, env := range copies {
 		n.reg.MsgEnqueued(env.Msg) // wire token for the fresh copy
-		n.tel.Retransmits.Inc()
-		l.lm.Retransmits.Inc()
 		l.enqueue(env, true, epoch)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"padres/internal/message"
 	"padres/internal/metrics"
 	"padres/internal/predicate"
+	"padres/internal/telemetry"
 )
 
 // sub builds a distinct control-plane message for sequencing tests.
@@ -138,7 +139,7 @@ func TestPartitionTripsBreakerAndHeals(t *testing.T) {
 	if err := net.Send("a", "b", sub(0)); err != nil {
 		t.Fatal(err)
 	}
-	// The retransmit loop exhausts MaxAttempts against the partition and
+	// The retransmit pacer exhausts MaxAttempts against the partition and
 	// opens the breaker; the pending entry is dead-lettered, which is what
 	// lets the network settle.
 	settleFor(t, reg, 10*time.Second)
@@ -227,4 +228,52 @@ func TestReliableSettleReleasesAllTokens(t *testing.T) {
 	// A second settle must return immediately: nothing may still hold a
 	// token once the first one reported quiescence.
 	settleFor(t, reg, time.Second)
+}
+
+// awaitCounter waits until c reaches min, re-checking once per tick.
+func awaitCounter(t *testing.T, c *telemetry.Counter, min int64, tick, limit time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(limit)
+	for c.Value() < min {
+		if time.Now().After(deadline) {
+			t.Fatalf("counter stuck at %d, want >= %d", c.Value(), min)
+		}
+		time.Sleep(tick)
+	}
+}
+
+// TestReliablePacerStopsOnClose runs the timer-chain pacer in real time
+// on a link that drops every frame: retransmits keep rising while the
+// network is open, and once Close returns no armed timer remains and the
+// counter never moves again.
+func TestReliablePacerStopsOnClose(t *testing.T) {
+	const base = 2 * time.Millisecond
+	net, _, _ := newPair(t, LinkOptions{
+		Reliable:   true,
+		Faults:     FaultProfile{Drop: 1, Seed: 3},
+		Retransmit: RetransmitOptions{Base: base, Cap: 2 * base, MaxAttempts: 1 << 20},
+	})
+	for i := 0; i < 4; i++ {
+		if err := net.Send("a", "b", sub(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retx := &net.Telemetry().Retransmits
+	awaitCounter(t, retx, 8, base, 10*time.Second)
+
+	net.Close()
+	after := retx.Value()
+	for _, l := range net.links {
+		l.rel.mu.Lock()
+		armed, closed := l.rel.timer != nil, l.rel.closed
+		l.rel.mu.Unlock()
+		if armed || !closed {
+			t.Fatalf("link %s->%s after Close: timer armed=%v closed=%v", l.from, l.to, armed, closed)
+		}
+	}
+	// Every pending entry was due again within Cap; watch many periods.
+	time.Sleep(20 * base)
+	if got := retx.Value(); got != after {
+		t.Fatalf("retransmits moved from %d to %d after Close", after, got)
+	}
 }

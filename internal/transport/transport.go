@@ -78,8 +78,8 @@ type Network struct {
 	// clk is the network's time source; every latency stamp, retransmit
 	// deadline and RTT sample reads it. sched is non-nil when clk owns a
 	// serialized event loop (a sim.VirtualClock): links then post delivery
-	// and retransmit events instead of running goroutines, which makes frame
-	// arrival order a pure function of the seed.
+	// events instead of running goroutines, which makes frame arrival order
+	// a pure function of the seed.
 	clk    sim.Clock
 	sched  sim.Scheduler
 	tracer atomic.Pointer[telemetry.TraceStore]
@@ -489,14 +489,10 @@ func (n *Network) newLink(from, to message.NodeID, opts LinkOptions) *link {
 	if opts.Reliable {
 		l.rel = newRelState(opts.Retransmit, opts.Seed^int64(hashNodes(to, from)))
 		l.lm = n.tel.Link(string(from), string(to))
-		if n.sched == nil {
-			n.wg.Add(1)
-			go l.retransmitLoop()
-		}
 	}
 	// In scheduled mode the link has no goroutines: queueLocked posts one
-	// delivery event per admitted frame and retransmit pacing re-arms
-	// itself on the loop.
+	// delivery event per admitted frame. Retransmit pacing is a timer chain
+	// on the network clock in either mode.
 	if n.sched == nil {
 		n.wg.Add(1)
 		go l.run()
@@ -633,19 +629,30 @@ func (l *link) queueLocked(env message.Envelope, counted bool, epoch uint64) {
 	}
 }
 
-// drainOne is the scheduled-mode counterpart of run(): deliver the frame at
-// the head of the queue. Events and admitted frames are 1:1; stop() empties
-// the queue, turning any still-scheduled events into no-ops.
+// drainOne is the scheduled-mode delivery driver: deliver the frame at the
+// head of the queue. Events and admitted frames are 1:1; stop() empties the
+// queue, turning any still-scheduled events into no-ops.
 func (l *link) drainOne() {
-	l.mu.Lock()
-	if l.stopped || len(l.queue) == 0 {
-		l.mu.Unlock()
-		return
+	if te, ok := l.pop(false); ok {
+		l.net.deliver(l, te)
 	}
-	te := l.queue[0]
+}
+
+// pop takes the frame at the head of the queue. With wait it blocks until
+// one is queued. ok is false once the link has stopped, or when the queue
+// is empty and wait is false.
+func (l *link) pop(wait bool) (te timedEnvelope, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for wait && len(l.queue) == 0 && !l.stopped {
+		l.cond.Wait()
+	}
+	if l.stopped || len(l.queue) == 0 {
+		return te, false
+	}
+	te = l.queue[0]
 	l.queue = l.queue[1:]
-	l.mu.Unlock()
-	l.net.deliver(l, te)
+	return te, true
 }
 
 func (l *link) stop() {
@@ -665,21 +672,15 @@ func (l *link) stop() {
 	}
 }
 
+// run is the real-time delivery driver: one goroutine per link pops the
+// queue in FIFO order and holds each frame until its delivery time.
 func (l *link) run() {
 	defer l.net.wg.Done()
 	for {
-		l.mu.Lock()
-		for len(l.queue) == 0 && !l.stopped {
-			l.cond.Wait()
-		}
-		if l.stopped {
-			l.mu.Unlock()
+		te, ok := l.pop(true)
+		if !ok {
 			return
 		}
-		te := l.queue[0]
-		l.queue = l.queue[1:]
-		l.mu.Unlock()
-
 		if d := time.Until(te.deliverAt); d > 0 {
 			time.Sleep(d)
 		}

@@ -105,12 +105,13 @@ race:
 
 # stress repeats the tests of the order-sensitive code under the race
 # detector — journal Seq/publication order, the dispatch pipeline's
-# re-sequencing, and the reliable links' pacer and breaker — so an
-# interleaving that fails one run in fifty surfaces before merge.
+# re-sequencing, the reliable links' pacer and breaker, and the TCP
+# gateway's reconnect/replay — so an interleaving that fails one run in
+# fifty surfaces before merge.
 stress:
 	$(GO) test -race -count=50 ./internal/journal/
 	$(GO) test -race -count=50 -run Pipeline ./internal/broker/
-	$(GO) test -race -count=50 -run 'Reliable|Breaker' ./internal/transport/
+	$(GO) test -race -count=50 -run 'Reliable|Breaker|Gateway' ./internal/transport/
 
 # loc prints the production Go line count: non-test files, outside the
 # perfbench module and its build directory.

@@ -151,6 +151,9 @@ func runUntil(args []string, stop <-chan struct{}) error {
 	}
 	b.Start()
 	defer b.Stop()
+	// A tripped TCP session reaches the broker's metrics and the journal;
+	// every reliable session here is one of this broker's.
+	net.SetLinkStateHandler(broker.LinkStateHandler(net, func(message.BrokerID) *broker.Broker { return b }))
 
 	tel := buildTelemetry(self, b, net, reg)
 	tel.RegisterStore(self, b.StoreMetrics())
@@ -178,12 +181,11 @@ func runUntil(args []string, stop <-chan struct{}) error {
 	}
 
 	gw, err := transport.NewGateway(transport.GatewayConfig{
-		Net:           net,
-		Local:         self.Node(),
-		Broker:        b,
-		Listen:        *listen,
-		Reliable:      *reliable,
-		AutoReconnect: *reliable,
+		Net:      net,
+		Local:    self.Node(),
+		Broker:   b,
+		Listen:   *listen,
+		Reliable: *reliable,
 		OnPeerError: func(node message.NodeID, err error) {
 			log.Warn("peer link error", "peer", string(node), "err", err)
 		},

@@ -337,6 +337,30 @@ func (b *Broker) StoreMetrics() *telemetry.StoreMetrics { return b.storeTel }
 // broker runs in-memory only.
 func (b *Broker) DurableStore() *store.Store { return b.store }
 
+// LinkStateHandler returns the network's observer of reliable-link
+// breaker transitions, for in-process links and TCP gateway sessions
+// alike: each transition is journaled as a failure record at the from-side
+// site and mirrored into that broker's metrics via PeerLinkState. lookup
+// resolves the from side to its broker, nil when it is not local.
+func LinkStateHandler(net *transport.Network, lookup func(message.BrokerID) *Broker) transport.LinkStateFunc {
+	return func(from, to message.NodeID, up bool) {
+		if j := net.Journal(); j.Enabled() {
+			kind := journal.KindLinkDown
+			if up {
+				kind = journal.KindLinkUp
+			}
+			j.Add(journal.Record{
+				Site: string(from), Cat: journal.CatFailure, Kind: kind,
+				Lamport: j.ClockOf(string(from)).Tick(),
+				From:    string(from), To: string(to),
+			})
+		}
+		if b := lookup(message.BrokerID(from)); b != nil {
+			b.PeerLinkState(to, up)
+		}
+	}
+}
+
 // PeerLinkState records a circuit-breaker transition on one of this
 // broker's overlay links. Safe from any goroutine; the transport's
 // link-state callback is the intended caller.
@@ -732,8 +756,7 @@ func (b *Broker) inject(from message.NodeID, m message.Message, lamport uint64) 
 	b.cfg.Net.Registry().MsgEnqueued(m)
 	env := message.Envelope{From: from, Msg: m}
 	if ts := b.cfg.Net.Tracer(); ts != nil {
-		env.Trace = message.TraceOf(m)
-		ts.RecordHop(env.Trace, from, b.cfg.ID.Node(), m.Kind(), b.clk.Now())
+		ts.RecordHop(message.TraceOf(m), from, b.cfg.ID.Node(), m.Kind(), b.clk.Now())
 	}
 	if j := b.journal(); j != nil {
 		c := b.clock(j)

@@ -174,22 +174,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	// Surface breaker transitions: journal them as failure records and
 	// mirror them into the from-side broker's metrics.
-	c.net.SetLinkStateHandler(func(from, to message.NodeID, up bool) {
-		if j := c.net.Journal(); j.Enabled() {
-			kind := journal.KindLinkDown
-			if up {
-				kind = journal.KindLinkUp
-			}
-			j.Add(journal.Record{
-				Site: string(from), Cat: journal.CatFailure, Kind: kind,
-				Lamport: j.ClockOf(string(from)).Tick(),
-				From:    string(from), To: string(to),
-			})
-		}
-		if b := c.Broker(message.BrokerID(from)); b != nil {
-			b.PeerLinkState(to, up)
-		}
-	})
+	c.net.SetLinkStateHandler(broker.LinkStateHandler(c.net, c.Broker))
 	return c, nil
 }
 

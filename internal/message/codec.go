@@ -20,34 +20,33 @@ import (
 // Frame layout (docs/PROTOCOL.md, "Wire codec"):
 //
 //	frame    := len:uint32-LE payload        (len = payload bytes)
-//	payload  := version:byte from:string trace:string
-//	            lamport:uvarint seq:uvarint kind:byte body
+//	payload  := version:byte from:string lamport:uvarint
+//	            epoch:uvarint seq:uvarint kind:byte body
 //
 // Bodies are per-kind field sequences using the wire primitives; filters
 // and events use the predicate package's compact codec. Strings are
 // uvarint-length-prefixed; booleans are one byte.
 
 // Envelope frames a message for the wire together with the sending node,
-// which the receiver uses as the message's last hop. Trace carries the
-// message's trace identity (TraceOf) when tracing is enabled; it rides the
-// wire so a receiving process can continue the hop record. Lamport carries
+// which the receiver uses as the message's last hop. Lamport carries
 // the sender's logical clock stamp at transmission time; receivers merge it
 // into their own clock so journal records are causally ordered across
 // sites, in-process and over TCP alike.
 type Envelope struct {
 	From    NodeID
 	Msg     Message
-	Trace   TraceID
 	Lamport uint64
-	// Seq is the link-level sequence number assigned by the transport
-	// reliability layer; 0 marks best-effort traffic outside the
-	// ack/retransmit protocol.
-	Seq uint64
+	// Epoch and Seq place the frame in a reliable session's stream: Seq is
+	// its sequence number within the sender's epoch, and Seq 0 marks
+	// best-effort traffic outside the ack/retransmit protocol. A gateway
+	// hello carries the sender's incarnation in Epoch instead.
+	Epoch uint64
+	Seq   uint64
 }
 
 // codecVersion is the frame schema version. Decoders reject frames with a
 // different version rather than guessing at field layouts.
-const codecVersion = 1
+const codecVersion = 2
 
 // maxFrame bounds a frame's payload so a corrupt length prefix cannot
 // drive an unbounded allocation. Movement-state frames carry buffered
@@ -153,8 +152,8 @@ func appendFrame(b []byte, env Envelope) ([]byte, error) {
 	b = append(b, 0, 0, 0, 0) // length backpatched below
 	b = append(b, codecVersion)
 	b = wire.AppendString(b, string(env.From))
-	b = wire.AppendString(b, string(env.Trace))
 	b = wire.AppendUvarint(b, env.Lamport)
+	b = wire.AppendUvarint(b, env.Epoch)
 	b = wire.AppendUvarint(b, env.Seq)
 	var err error
 	b, err = AppendMessage(b, env.Msg)
@@ -184,12 +183,11 @@ func readPayload(b []byte) (Envelope, []byte, error) {
 	if err != nil {
 		return Envelope{}, nil, err
 	}
-	trace, b, err := wire.String(b)
-	if err != nil {
+	env.From = NodeID(from)
+	if env.Lamport, b, err = wire.Uvarint(b); err != nil {
 		return Envelope{}, nil, err
 	}
-	env.From, env.Trace = NodeID(from), TraceID(trace)
-	if env.Lamport, b, err = wire.Uvarint(b); err != nil {
+	if env.Epoch, b, err = wire.Uvarint(b); err != nil {
 		return Envelope{}, nil, err
 	}
 	if env.Seq, b, err = wire.Uvarint(b); err != nil {

@@ -20,7 +20,7 @@ func TestCodecFrameSizeBudgets(t *testing.T) {
 		env  Envelope
 		max  int
 	}{
-		{"publish", Envelope{From: "b1", Trace: "pub:p1", Lamport: 42, Seq: 7, Msg: Publish{
+		{"publish", Envelope{From: "b1", Lamport: 42, Epoch: 3, Seq: 7, Msg: Publish{
 			ID: "p1", Client: "c1", Event: predicate.Event{
 				"class": predicate.String("stock"),
 				"price": predicate.Number(150),

@@ -270,8 +270,8 @@ func TestCodecLamportPropagation(t *testing.T) {
 	env := Envelope{
 		From:    "b1",
 		Msg:     Publish{ID: "p1", Client: "c1"},
-		Trace:   "pub:p1",
 		Lamport: 42,
+		Epoch:   3,
 	}
 	data, err := Marshal(env)
 	if err != nil {
@@ -284,8 +284,8 @@ func TestCodecLamportPropagation(t *testing.T) {
 	if got.Lamport != 42 {
 		t.Errorf("Lamport after round trip = %d, want 42", got.Lamport)
 	}
-	if got.Trace != "pub:p1" {
-		t.Errorf("Trace after round trip = %q, want pub:p1", got.Trace)
+	if got.Epoch != 3 {
+		t.Errorf("Epoch after round trip = %d, want 3", got.Epoch)
 	}
 
 	// A stream of envelopes keeps each stamp with its own message.

@@ -1,26 +1,19 @@
 package transport
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"padres/internal/message"
 	"padres/internal/sim"
+	"padres/internal/telemetry"
 )
 
-// The link reliability layer: control-plane traffic on a Reliable link is
-// stamped with a per-link monotonic sequence number and held in a bounded
-// resend queue until the receiver's cumulative ack covers it. A per-link
-// timer chain retransmits overdue entries with jittered exponential
-// backoff; the receive side deduplicates (seq <= cum) and resequences
-// out-of-order arrivals so injected duplicates, reorderings, and
-// retransmits never double-apply routing or 3PC state. A pending entry
-// that exhausts MaxAttempts — or a resend queue that overflows — trips the
-// link's circuit breaker: every queued entry is drained to the dead-letter
-// counter, further reliable sends fail fast with ErrLinkDown, and the
-// breaker transition is surfaced through Network.SetLinkStateHandler.
-// Heal closes the breaker again under a new epoch so stale in-flight
-// sequence numbers cannot corrupt the restarted stream.
+// The in-process carrier of the reliable session (session.go): each
+// direction of a Reliable link runs one session, and a per-link timer
+// chain retransmits overdue entries with jittered exponential backoff. An
+// entry that exhausts MaxAttempts trips the breaker as overflow does;
+// further sends fail fast with ErrLinkDown until Heal restarts the link.
 //
 // In-flight accounting uses two tokens per reliable message: one for each
 // physical wire copy (released on delivery, drop, or dedup) and one
@@ -34,84 +27,11 @@ import (
 // Acks themselves are pure retransmission pacing, invisible to the
 // registry.
 
-// RetransmitOptions tunes a reliable link's ack/retransmit layer.
-type RetransmitOptions struct {
-	// Base is the first retransmission delay (default 20ms); attempt k
-	// waits Base<<k, jittered, up to Cap.
-	Base time.Duration
-	// Cap bounds the per-attempt backoff (default 400ms).
-	Cap time.Duration
-	// MaxAttempts is the number of retransmissions of one entry before the
-	// circuit breaker opens (default 12).
-	MaxAttempts int
-	// QueueLimit bounds the resend queue; overflow opens the breaker
-	// (default 1024).
-	QueueLimit int
-}
-
-func (o RetransmitOptions) withDefaults() RetransmitOptions {
-	if o.Base <= 0 {
-		o.Base = 20 * time.Millisecond
-	}
-	if o.Cap <= 0 {
-		o.Cap = 400 * time.Millisecond
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 12
-	}
-	if o.QueueLimit <= 0 {
-		o.QueueLimit = 1024
-	}
-	return o
-}
-
-// reliableKind reports whether the kind rides the ack/retransmit layer on
-// a reliable link. Publications stay best-effort (the client stub's
-// duplicate suppression and the movement buffers cover them end to end);
-// acks are the layer's own frames.
-func reliableKind(k message.Kind) bool {
-	return k != message.KindPublish && k != message.KindLinkAck
-}
-
-// pendingMsg is one unacknowledged resend-queue entry. nextAt is stamped
-// lazily: the send path leaves it zero (sparing a clock read per message)
-// and the retransmit pacer fills it in when it next arms or fires, which
-// happens within one Base period of the append. An entry's first
-// retransmission may therefore lag its send by up to 2*Base — retransmit
-// pacing is best-effort; correctness rides on the ack/dedup protocol.
-type pendingMsg struct {
-	env      message.Envelope
-	attempts int
-	nextAt   time.Time
-	// sentAt is the first-send time; the ack handler derives the link RTT
-	// from it for entries that were never retransmitted.
-	sentAt time.Time
-}
-
-// relState holds one directed link's reliability state: the sender side
-// (sequence counter, resend queue, breaker) and the receiver side
-// (cumulative delivery point, out-of-order buffer) of the same direction.
-//
-// The two sides run on different goroutines — the sending broker's
-// dispatch path versus the link's delivery goroutine — and share no hot
-// state, so each has its own mutex and the per-message fast paths never
-// contend. down and epoch are read under either lock; writers (breaker
-// trip, reset, shutdown) hold BOTH, always acquiring mu before rmu.
+// relState wraps one link direction's session — both halves belong to
+// this direction — with the retransmit pacer and ack coalescing.
 type relState struct {
-	opts RetransmitOptions
-	rng  *lockedRand // backoff jitter
-
-	mu      sync.Mutex // sender side
-	nextSeq uint64
-	pend    []pendingMsg // ascending seq
-
-	rmu    sync.Mutex // receiver side
-	cum    uint64     // highest sequence delivered in order
-	oo     map[uint64]message.Envelope
-	ackDue bool // a coalescing ack timer is armed
-
-	down  bool
-	epoch uint64
+	session
+	rng *lockedRand // backoff jitter
 
 	// timer (under mu) is the armed retransmit pacer, nil while idle;
 	// senders skip arming while it is set — the firing timer recomputes
@@ -120,27 +40,27 @@ type relState struct {
 	timer  sim.Timer
 	closed bool
 
-	// ackDelay is the ack coalescing window: in-order deliveries arm one
-	// timer and the cumulative ack covers everything that arrived inside
-	// it. Kept a small fraction of Base so a delayed ack can never be
-	// mistaken for loss by the sender's retransmit timer.
+	// ackDue is set while a coalescing ack timer is armed. ackDelay is the
+	// window: in-order deliveries arm one timer and the cumulative ack
+	// covers everything that arrived inside it. Kept a small fraction of
+	// Base so a delayed ack can never be mistaken for loss by the sender's
+	// retransmit timer. ackDue lives outside rmu: flushAck clears it before
+	// reading cum, so a race can arm a spare flush but never lose an ack.
+	ackDue   atomic.Bool
 	ackDelay time.Duration
 }
 
-func newRelState(opts RetransmitOptions, seed int64) *relState {
-	opts = opts.withDefaults()
-	delay := opts.Base / 8
-	if delay > 500*time.Microsecond {
-		delay = 500 * time.Microsecond
+func newRelState(opts RetransmitOptions, seed int64, clk sim.Clock, lm *telemetry.LinkMetrics) *relState {
+	r := &relState{rng: newLockedRand(seed)}
+	r.init(opts, clk, lm)
+	r.ackDelay = r.opts.Base / 8
+	if r.ackDelay > 500*time.Microsecond {
+		r.ackDelay = 500 * time.Microsecond
 	}
-	if delay <= 0 {
-		delay = 50 * time.Microsecond
+	if r.ackDelay <= 0 {
+		r.ackDelay = 50 * time.Microsecond
 	}
-	return &relState{
-		opts:     opts,
-		rng:      newLockedRand(seed),
-		ackDelay: delay,
-	}
+	return r
 }
 
 // backoff returns the jittered delay before retransmission attempt k
@@ -203,21 +123,13 @@ func undelivered(pend []pendingMsg, cum uint64, oo map[uint64]message.Envelope) 
 	return lost
 }
 
-// tripLocked opens the breaker and detaches the state to be drained.
-// Caller holds r.mu (rmu is acquired internally, preserving the mu-first
-// lock order) and must pass the result to finishTrip after unlocking. The
-// returned queue is pre-filtered to the entries the receiver never
-// accepted — the genuinely lost frames whose tokens and dead-letter
-// counts finishTrip settles.
+// tripLocked opens the breaker and returns what it strands: the resend
+// entries the receiver never accepted — the genuinely lost frames, whose
+// tokens and dead-letter counts finishTrip settles — and the resequencing
+// buffer. Caller holds r.mu and passes the result to finishTrip after
+// unlocking.
 func (r *relState) tripLocked() ([]pendingMsg, map[uint64]message.Envelope) {
-	pend := r.pend
-	r.pend = nil
-	r.rmu.Lock()
-	r.down = true
-	oo := r.oo
-	r.oo = nil
-	cum := r.cum
-	r.rmu.Unlock()
+	pend, oo, cum := r.session.tripLocked()
 	return undelivered(pend, cum, oo), oo
 }
 
@@ -227,24 +139,16 @@ func (r *relState) tripLocked() ([]pendingMsg, map[uint64]message.Envelope) {
 func (n *Network) finishTrip(l *link, pend []pendingMsg, oo map[uint64]message.Envelope) {
 	for _, p := range pend {
 		n.reg.MsgDone(p.env.Msg) // at-least-once token of a never-accepted frame
-		n.tel.DeadLetters.Inc()
 	}
 	for _, env := range oo {
 		n.reg.MsgDone(env.Msg) // wire token of a buffered frame
-		n.tel.DeadLetters.Inc()
 	}
-	if l.lm != nil {
-		l.lm.DeadLetters.Add(int64(len(pend) + len(oo)))
-		l.lm.Up.Set(0)
-		l.lm.ResendDepth.Set(0)
-	}
-	n.tel.LinksDown.Inc()
-	n.notifyLinkState(l.from, l.to, false)
+	n.linkDown(l.from, l.to, l.rel.lm, len(pend)+len(oo))
 }
 
-// resetBreaker closes an open breaker: new epoch, sequence numbers
-// restart from zero on both sides of the direction. In-flight frames from
-// the old epoch are invalidated by their epoch stamp.
+// resetBreaker closes an open breaker: both halves of the direction restart
+// under a new epoch, and in-flight frames of the old one are discarded by
+// their epoch stamp.
 func (n *Network) resetBreaker(l *link) {
 	r := l.rel
 	if r == nil {
@@ -257,27 +161,19 @@ func (n *Network) resetBreaker(l *link) {
 		r.mu.Unlock()
 		return
 	}
-	r.down = false
-	r.epoch++
-	r.nextSeq = 0
-	r.cum = 0
-	oo := r.oo
-	r.oo = nil
+	r.restartSendLocked()
+	oo := r.restartRecvLocked(r.epoch)
 	r.rmu.Unlock()
 	r.mu.Unlock()
 	for _, env := range oo {
 		n.reg.MsgDone(env.Msg)
 	}
-	if l.lm != nil {
-		l.lm.Up.Set(1)
-	}
-	n.tel.LinksDown.Dec()
-	n.notifyLinkState(l.from, l.to, true)
+	n.linkUp(l.from, l.to, r.lm)
 	l.armRetransmit()
 }
 
-// sendReliable assigns the next sequence number, parks the message in the
-// resend queue, and puts the first wire copy on the link.
+// sendReliable stamps the message into the session's resend queue and puts
+// the first wire copy on the link.
 func (n *Network) sendReliable(l *link, msg message.Message) error {
 	r := l.rel
 	// Bookkeeping runs before taking r.mu so journaling and traffic
@@ -288,26 +184,12 @@ func (n *Network) sendReliable(l *link, msg message.Message) error {
 	env := n.prepareSend(l, l.from, l.to, msg, 2)
 	sentAt := n.clk.Now()
 	r.mu.Lock()
-	if r.down {
-		r.mu.Unlock()
-		n.reg.MsgDoneBatch([]message.Message{msg, msg})
-		n.tel.DeadLetters.Inc()
-		l.lm.DeadLetters.Inc()
-		return ErrLinkDown
+	if r.down || len(r.pend) >= r.opts.QueueLimit {
+		n.refuseAndUnlock(l)
+		return n.deadLetterPrepared(l, []message.Message{msg})
 	}
-	if len(r.pend) >= r.opts.QueueLimit {
-		pend, oo := r.tripLocked()
-		r.mu.Unlock()
-		n.finishTrip(l, pend, oo)
-		n.reg.MsgDoneBatch([]message.Message{msg, msg})
-		n.tel.DeadLetters.Inc()
-		l.lm.DeadLetters.Inc()
-		return ErrLinkDown
-	}
-	r.nextSeq++
-	env.Seq = r.nextSeq
-	r.pend = append(r.pend, pendingMsg{env: env, sentAt: sentAt})
-	l.lm.ResendDepth.Set(int64(len(r.pend)))
+	r.stampLocked(&env, sentAt)
+	r.lm.ResendDepth.Set(int64(len(r.pend)))
 	// Arm the pacer only when it is idle: an armed timer recomputes every
 	// deadline (including this entry's) when it fires, and after a full ack
 	// it is at most one backoff period out. Skipping the arm otherwise
@@ -315,12 +197,11 @@ func (n *Network) sendReliable(l *link, msg message.Message) error {
 	// case is a first retransmit delayed by up to one extra backoff period,
 	// which only matters when loss is already present.
 	wake := len(r.pend) == 1 && r.timer == nil
-	epoch := r.epoch
 	r.mu.Unlock()
 	if wake {
 		l.armRetransmit()
 	}
-	l.enqueue(env, true, epoch)
+	l.enqueue(env, true)
 	return nil
 }
 
@@ -337,126 +218,90 @@ func (n *Network) sendReliableBatch(l *link, msgs []message.Message) error {
 	}
 	sentAt := n.clk.Now()
 	r.mu.Lock()
-	if r.down {
-		r.mu.Unlock()
-		l.lm.DeadLetters.Add(int64(len(msgs)))
-		return n.deadLetterPrepared(msgs)
-	}
-	if len(r.pend)+len(msgs) > r.opts.QueueLimit {
-		pend, oo := r.tripLocked()
-		r.mu.Unlock()
-		n.finishTrip(l, pend, oo)
-		l.lm.DeadLetters.Add(int64(len(msgs)))
-		return n.deadLetterPrepared(msgs)
+	if r.down || len(r.pend)+len(msgs) > r.opts.QueueLimit {
+		n.refuseAndUnlock(l)
+		return n.deadLetterPrepared(l, msgs)
 	}
 	wake := len(r.pend) == 0 && r.timer == nil
 	for i := range envs {
-		r.nextSeq++
-		envs[i].Seq = r.nextSeq
-		r.pend = append(r.pend, pendingMsg{env: envs[i], sentAt: sentAt})
+		r.stampLocked(&envs[i], sentAt)
 	}
-	l.lm.ResendDepth.Set(int64(len(r.pend)))
-	epoch := r.epoch
+	r.lm.ResendDepth.Set(int64(len(r.pend)))
 	r.mu.Unlock()
 	if wake {
 		l.armRetransmit()
 	}
-	l.enqueueBatch(envs, epoch)
+	l.enqueueBatch(envs)
 	return nil
 }
 
+// refuseAndUnlock releases r.mu after a send the session cannot take. A
+// closed breaker means the send would overflow the resend queue: the
+// breaker trips first.
+func (n *Network) refuseAndUnlock(l *link) {
+	r := l.rel
+	if r.down {
+		r.mu.Unlock()
+		return
+	}
+	pend, oo := r.tripLocked()
+	r.mu.Unlock()
+	n.finishTrip(l, pend, oo)
+}
+
 // deadLetterPrepared releases both tokens of every already-prepared
-// message in a batch that hit an open breaker, counts the dead letters,
-// and reports the failure.
-func (n *Network) deadLetterPrepared(msgs []message.Message) error {
+// message the session refused, counts the dead letters, and reports the
+// failure.
+func (n *Network) deadLetterPrepared(l *link, msgs []message.Message) error {
 	both := make([]message.Message, 0, 2*len(msgs))
 	for _, m := range msgs {
 		both = append(both, m, m)
 	}
 	n.reg.MsgDoneBatch(both)
 	n.tel.DeadLetters.Add(int64(len(msgs)))
+	l.rel.lm.DeadLetters.Add(int64(len(msgs)))
 	return ErrLinkDown
 }
 
-// deliverReliable runs the receive side of the protocol for one sequenced
-// frame: dedup, resequencing, cumulative ack, then in-order handoff.
-func (n *Network) deliverReliable(l *link, te timedEnvelope) {
+// deliverReliable runs one sequenced frame through the session's receive
+// half and settles the carrier's side: tokens, dedup counts, the
+// coalesced ack, and in-order handoff.
+func (n *Network) deliverReliable(l *link, env message.Envelope) {
 	r := l.rel
-	env := te.env
-	r.rmu.Lock()
-	if r.down || te.epoch != r.epoch {
+	v, drained, cum, epoch := r.receive(env)
+	switch v {
+	case rxStale:
 		// Dead link, or a frame that was in flight across a breaker reset:
 		// its sequence numbering no longer matches the stream.
-		r.rmu.Unlock()
 		n.reg.MsgDone(env.Msg)
-		return
-	}
-	if env.Seq <= r.cum {
-		// Duplicate (injected or retransmitted after the ack was lost):
-		// drop it and re-ack so the sender stops resending.
-		cum := r.cum
-		epoch := r.epoch
-		r.rmu.Unlock()
+	case rxDup:
+		// Injected, or retransmitted after the ack was lost: re-ack so the
+		// sender stops resending.
 		n.tel.DupesDropped.Inc()
 		n.reg.MsgDone(env.Msg)
 		n.sendAck(l, cum, epoch)
-		return
-	}
-	if env.Seq != r.cum+1 {
-		// Out of order: buffer until the gap fills. The wire token stays
-		// held by the buffered frame; the at-least-once token is released
-		// below — buffering is an accept, and any still-missing earlier
-		// frame holds its own token, so quiescence stays guarded.
-		if r.oo == nil {
-			r.oo = make(map[uint64]message.Envelope)
-		}
-		if _, dup := r.oo[env.Seq]; dup {
-			r.rmu.Unlock()
-			n.tel.DupesDropped.Inc()
-			n.reg.MsgDone(env.Msg)
-			return
-		}
-		r.oo[env.Seq] = env
-		r.rmu.Unlock()
-		n.reg.MsgDone(env.Msg) // at-least-once token: first accept
-		return
-	}
-	r.cum++
-	// Coalesce the ack: the first in-order arrival of a burst arms a short
-	// timer and the single cumulative ack it sends covers every frame that
-	// lands inside the window. One ack frame per window instead of one per
-	// message keeps the reliability layer's loss-free overhead small.
-	armAck := !r.ackDue
-	r.ackDue = true
-	if len(r.oo) == 0 {
-		// Fast path: nothing resequencing, this frame is the whole batch.
-		r.rmu.Unlock()
-		if armAck {
+	case rxDupAhead:
+		n.tel.DupesDropped.Inc()
+		n.reg.MsgDone(env.Msg)
+	case rxBuffered:
+		// The wire token stays held by the buffered frame; the at-least-once
+		// token is released — buffering is an accept, and any still-missing
+		// earlier frame holds its own token, so quiescence stays guarded.
+		n.reg.MsgDone(env.Msg)
+	case rxInOrder:
+		// Coalesce the ack: the first in-order arrival of a burst arms a
+		// short timer and the single cumulative ack it sends covers every
+		// frame that lands inside the window.
+		if !r.ackDue.Swap(true) {
 			n.clk.AfterFunc(r.ackDelay, func() { n.flushAck(l) })
 		}
-		n.reg.MsgDone(env.Msg) // at-least-once token: first accept
+		// Only this frame still holds its at-least-once token; the drained
+		// buffered frames released theirs when they were accepted.
+		n.reg.MsgDone(env.Msg)
 		n.deliverDirect(l.to, env, true)
-		return
-	}
-	ready := []message.Envelope{env}
-	for {
-		next, ok := r.oo[r.cum+1]
-		if !ok {
-			break
+		for _, e := range drained {
+			n.deliverDirect(l.to, e, true)
 		}
-		delete(r.oo, r.cum+1)
-		r.cum++
-		ready = append(ready, next)
-	}
-	r.rmu.Unlock()
-	if armAck {
-		n.clk.AfterFunc(r.ackDelay, func() { n.flushAck(l) })
-	}
-	// Only the gap-filling frame still holds its at-least-once token; the
-	// drained buffered frames released theirs when they were accepted.
-	n.reg.MsgDone(env.Msg)
-	for _, e := range ready {
-		n.deliverDirect(l.to, e, true)
 	}
 }
 
@@ -465,16 +310,10 @@ func (n *Network) deliverReliable(l *link, te timedEnvelope) {
 // shutdown is dropped harmlessly (a stopped reverse link discards the
 // frame).
 func (n *Network) flushAck(l *link) {
-	r := l.rel
-	r.rmu.Lock()
-	r.ackDue = false
-	if r.down {
-		r.rmu.Unlock()
-		return
+	l.rel.ackDue.Store(false)
+	if cum, epoch, ok := l.rel.ackPoint(); ok {
+		n.sendAck(l, cum, epoch)
 	}
-	cum, epoch := r.cum, r.epoch
-	r.rmu.Unlock()
-	n.sendAck(l, cum, epoch)
 }
 
 // sendAck delivers a cumulative acknowledgement for traffic on l to the
@@ -497,12 +336,9 @@ func (n *Network) sendAck(l *link, cum uint64, epoch uint64) {
 	n.handleAck(rev, message.LinkAck{Cum: cum, Epoch: epoch})
 }
 
-// handleAck trims the forward link's resend queue up to the cumulative
-// point. l is the link the ack arrived on (the reverse direction). Acks
-// carry no in-flight accounting — the at-least-once token was released at
-// the receiver's first accept — so this is a pure pend trim under the
-// sender-side mu, safe for the overlapping callers the direct ack path
-// produces (an ack-window timer flush racing a duplicate's re-ack).
+// handleAck trims the forward link's resend queue; l is the link the ack
+// arrived on (the reverse direction). Acks carry no in-flight accounting —
+// the at-least-once token was released at the receiver's first accept.
 //
 // The retransmit pacer is deliberately not re-armed here: after a trim its
 // armed timer just fires at the now-acked entry's old deadline, finds
@@ -512,51 +348,9 @@ func (n *Network) handleAck(l *link, ack message.LinkAck) {
 	n.mu.Lock()
 	fwd := n.links[linkID{l.to, l.from}]
 	n.mu.Unlock()
-	if fwd == nil || fwd.rel == nil {
-		return
+	if fwd != nil && fwd.rel != nil {
+		fwd.rel.ack(ack)
 	}
-	r := fwd.rel
-	r.mu.Lock()
-	if ack.Epoch != r.epoch {
-		r.mu.Unlock()
-		return
-	}
-	i := 0
-	for i < len(r.pend) && r.pend[i].env.Seq <= ack.Cum {
-		i++
-	}
-	if i > 0 {
-		// RTT of the trimmed entries, but only the ones never retransmitted:
-		// after a retransmission the ack could answer either copy, so the
-		// sample would be ambiguous (Karn's rule).
-		now := n.clk.Now()
-		for k := 0; k < i; k++ {
-			p := &r.pend[k]
-			if p.attempts == 0 && !p.sentAt.IsZero() {
-				fwd.lm.RTT.Observe(now.Sub(p.sentAt))
-			}
-		}
-	}
-	switch {
-	case i == 0:
-	case i == len(r.pend):
-		// The ack covered everything pending — the usual loss-free case.
-		// Keep the backing array as is: the acked slots are overwritten by
-		// the next window's appends, so no copy or clear is needed.
-		r.pend = r.pend[:0]
-	default:
-		// Partial cover: trim by copying down in place. The backing array
-		// is reused, so the resend queue settles at a steady-state
-		// capacity instead of reallocating as the slice walks forward
-		// through fresh arrays.
-		rem := copy(r.pend, r.pend[i:])
-		for k := rem; k < len(r.pend); k++ {
-			r.pend[k] = pendingMsg{} // release acked message references
-		}
-		r.pend = r.pend[:rem]
-	}
-	fwd.lm.ResendDepth.Set(int64(len(r.pend)))
-	r.mu.Unlock()
 }
 
 // armRetransmit is the link's retransmit pacer, in real and simulated time
@@ -627,11 +421,10 @@ func (l *link) resendDue() {
 	}
 	// Counted under mu, so nothing is counted once shutdown has returned.
 	n.tel.Retransmits.Add(int64(len(copies)))
-	l.lm.Retransmits.Add(int64(len(copies)))
-	epoch := r.epoch
+	r.lm.Retransmits.Add(int64(len(copies)))
 	r.mu.Unlock()
 	for _, env := range copies {
 		n.reg.MsgEnqueued(env.Msg) // wire token for the fresh copy
-		l.enqueue(env, true, epoch)
+		l.enqueue(env, true)
 	}
 }

@@ -27,10 +27,13 @@ const (
 )
 
 // Hello is the first frame on every connection: it identifies the dialing
-// node.
+// node. A broker acceptor answers with its own hello. Incarnation, carried
+// in the hello envelope's Epoch, is fixed when a gateway starts, so a peer
+// that restarted is told apart from one that merely reconnected.
 type Hello struct {
-	Node message.NodeID
-	Kind PeerKind
+	Node        message.NodeID
+	Kind        PeerKind
+	Incarnation uint64
 }
 
 // BrokerPort is the interface the gateway needs from the local broker; the
@@ -65,28 +68,21 @@ type GatewayConfig struct {
 	// violation). It runs on the goroutine that observed the failure and
 	// must not block.
 	OnPeerError func(node message.NodeID, err error)
-	// Reliable arms the gateway's ack/retransmit layer: control-plane
-	// envelopes to broker peers carry per-peer sequence numbers, are held
-	// in a bounded resend queue until the remote's cumulative ack, and are
-	// replayed after a reconnect; the receive side deduplicates. Sequence
-	// state is keyed by peer node and survives connection replacement.
+	// Reliable runs a reliable session (session.go) per broker peer:
+	// control-plane envelopes carry per-peer sequence numbers, wait in a
+	// bounded resend queue until the remote's cumulative ack, and are
+	// replayed on every new connection; the receive side releases them
+	// exactly once and in order. The session outlives its connections. A
+	// dialled peer whose connection fails is redialled with capped
+	// exponential backoff (accepted peers are the remote side's to
+	// redial), and a resend queue that overflows while the peer is away
+	// trips the session's breaker, surfaced through
+	// Network.SetLinkStateHandler until the peer next connects.
 	Reliable bool
-	// AutoReconnect re-establishes dialled broker peers after OnPeerError:
-	// a supervisor redials with capped exponential backoff, replays the
-	// unacked resend queue, and restarts the read loop. Accepted peers are
-	// the remote side's responsibility.
-	AutoReconnect bool
 	// ReconnectBase and ReconnectCap bound the redial backoff
 	// (defaults 50ms and 2s).
 	ReconnectBase time.Duration
 	ReconnectCap  time.Duration
-	// ReconnectMaxAttempts abandons the peer after this many failed
-	// redials (0 = keep trying until the gateway closes). Abandonment
-	// dead-letters the resend queue and surfaces OnPeerError once more.
-	ReconnectMaxAttempts int
-	// ResendQueueLimit bounds the per-peer resend queue (default 1024);
-	// overflow drops the oldest entry to the dead-letter counter.
-	ResendQueueLimit int
 }
 
 // Gateway bridges the local broker to TCP peers.
@@ -94,6 +90,7 @@ type Gateway struct {
 	cfg  GatewayConfig
 	ln   net.Listener
 	stop chan struct{} // closed on Close; cancels reconnect backoff sleeps
+	inc  uint64        // this gateway's incarnation, sent in every hello
 
 	mu     sync.Mutex
 	peers  map[message.NodeID]*peerConn
@@ -102,25 +99,15 @@ type Gateway struct {
 	wg     sync.WaitGroup
 }
 
-// peerState is the per-peer reliability state that outlives any single
-// connection: sequence counters and the unacked resend queue keep their
-// values across a reconnect so the stream resumes where it left off.
+// peerState is one broker peer's reliable session — local→peer send half,
+// peer→local receive half — which outlives any single connection, plus
+// what re-establishing it needs. The extra fields are guarded by the
+// session's mu.
 type peerState struct {
-	mu      sync.Mutex
-	addr    string // dial address; "" for accepted peers (no reconnect)
-	nextSeq uint64
-	pend    []message.Envelope // unacked, ascending Seq
-	// lastRecv is the highest contiguously received sequence; recvAhead
-	// holds the seqs received beyond a gap. Together they deduplicate
-	// without ever acking a frame that was skipped over, so a cumulative
-	// ack can only trim what really arrived.
-	lastRecv  uint64
-	recvAhead map[uint64]bool
-	// parked is true while no connection may be written directly — the
-	// peer is down or a reconnect replay owns the socket. Reliable sends
-	// then stay pend-only and the replay loop delivers them in order.
-	parked       bool
+	session
+	addr         string // dial address; "" for accepted peers (no reconnect)
 	reconnecting bool
+	inc          uint64 // the peer's incarnation from its last hello; 0 until known
 }
 
 type peerConn struct {
@@ -156,6 +143,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		cfg:    cfg,
 		ln:     ln,
 		stop:   make(chan struct{}),
+		inc:    uint64(time.Now().UnixNano()),
 		peers:  make(map[message.NodeID]*peerConn),
 		states: make(map[message.NodeID]*peerState),
 	}
@@ -164,14 +152,17 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-// state returns (creating if needed) the persistent reliability state for
-// a peer node.
+// state returns (creating if needed) the persistent session state for a
+// peer node.
 func (g *Gateway) state(node message.NodeID) *peerState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	st, ok := g.states[node]
 	if !ok {
 		st = &peerState{}
+		if g.cfg.Reliable {
+			st.init(RetransmitOptions{}, g.cfg.Net.Clock(), g.cfg.Net.Telemetry().Link(string(g.cfg.Local), string(node)))
+		}
 		g.states[node] = st
 	}
 	return st
@@ -202,8 +193,8 @@ func (g *Gateway) Close() {
 }
 
 // DialPeer connects to a remote broker gateway and installs it as an
-// overlay neighbor proxy. The address is remembered so the auto-reconnect
-// supervisor can redial it after a failure.
+// overlay neighbor proxy. The address is remembered so a reliable gateway
+// can redial it after a failure.
 func (g *Gateway) DialPeer(node message.NodeID, addr string) error {
 	st := g.state(node)
 	st.mu.Lock()
@@ -213,22 +204,25 @@ func (g *Gateway) DialPeer(node message.NodeID, addr string) error {
 }
 
 // dialAndInstall performs the dial + hello handshake and wires the peer
-// in; shared by DialPeer and the reconnect supervisor.
+// in; shared by DialPeer and the reconnect supervisor. The session resumes
+// when the acceptor's hello arrives on the read loop.
 func (g *Gateway) dialAndInstall(node message.NodeID, addr string) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("dial peer %s: %w", node, err)
 	}
-	if g.cfg.IOTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(g.cfg.IOTimeout))
-	}
-	enc := message.NewEncoder(conn)
-	if err := enc.Encode(message.Envelope{From: g.cfg.Local, Msg: helloMsg(g.cfg.Local, PeerBroker)}); err != nil {
+	p := &peerConn{node: node, kind: PeerBroker, conn: conn, enc: message.NewEncoder(conn), timeout: g.cfg.IOTimeout}
+	if err := p.write(g.hello()); err != nil {
 		_ = conn.Close()
 		return fmt.Errorf("handshake with %s: %w", node, err)
 	}
-	_ = conn.SetWriteDeadline(time.Time{})
-	return g.installPeer(&peerConn{node: node, kind: PeerBroker, conn: conn, enc: enc, timeout: g.cfg.IOTimeout})
+	g.installPeer(p)
+	return nil
+}
+
+// hello is this gateway's broker handshake frame.
+func (g *Gateway) hello() message.Envelope {
+	return message.Envelope{From: g.cfg.Local, Msg: helloMsg(g.cfg.Local, PeerBroker), Epoch: g.inc}
 }
 
 // helloMsg encodes the handshake inside a MoveNegotiate frame so that no
@@ -253,14 +247,16 @@ func parseHello(env message.Envelope) (Hello, bool) {
 	if !ok {
 		return Hello{}, false
 	}
+	h := Hello{Node: message.NodeID(nego.Client), Incarnation: env.Epoch}
 	switch nego.Tx {
 	case "hello/" + message.TxID(PeerBroker):
-		return Hello{Node: message.NodeID(nego.Client), Kind: PeerBroker}, true
+		h.Kind = PeerBroker
 	case "hello/" + message.TxID(PeerClient):
-		return Hello{Node: message.NodeID(nego.Client), Kind: PeerClient}, true
+		h.Kind = PeerClient
 	default:
 		return Hello{}, false
 	}
+	return h, true
 }
 
 func (g *Gateway) acceptLoop() {
@@ -300,13 +296,18 @@ func (g *Gateway) handleInbound(conn net.Conn) {
 	// Steady-state reads are unbounded: idle peers are legal.
 	_ = conn.SetReadDeadline(time.Time{})
 	p := &peerConn{node: hello.Node, kind: hello.Kind, conn: conn, enc: message.NewEncoder(conn), timeout: g.cfg.IOTimeout}
-	if err := g.installPeer(p); err != nil {
-		g.mu.Lock()
-		closed := g.closed
-		g.mu.Unlock()
-		if !closed {
+	if hello.Kind == PeerBroker {
+		// Answer first, so the dialer learns this incarnation before any
+		// sequenced frame reaches it.
+		if err := p.write(g.hello()); err != nil {
 			g.peerError(p.node, err)
+			_ = conn.Close()
+			return
 		}
+	}
+	g.installPeer(p)
+	if err := g.resume(p, hello); err != nil {
+		g.dropPeer(p, err)
 		return
 	}
 	g.readLoop(p, dec)
@@ -319,13 +320,10 @@ func (g *Gateway) peerError(node message.NodeID, err error) {
 	}
 }
 
-// installPeer wires a peer into the local network and starts its read loop
-// for dialled connections (accepted connections continue on the accepting
-// goroutine). For reliable broker peers it replays the unacked resend
-// queue on the fresh connection before direct sends resume — on both the
-// dial and the accept side, so an acceptor's unacked frames survive the
-// remote redialling in.
-func (g *Gateway) installPeer(p *peerConn) error {
+// installPeer wires a peer into the local network: a broker peer becomes
+// the local network's proxy node for its ID, a client is attached to the
+// local broker.
+func (g *Gateway) installPeer(p *peerConn) {
 	g.mu.Lock()
 	if old, ok := g.peers[p.node]; ok {
 		_ = old.conn.Close()
@@ -346,17 +344,6 @@ func (g *Gateway) installPeer(p *peerConn) error {
 		if !g.cfg.Net.HasLink(g.cfg.Local, p.node) {
 			_ = g.cfg.Net.AddLink(g.cfg.Local, p.node, LinkOptions{CountTraffic: true})
 		}
-		if g.cfg.Reliable {
-			if err := g.replayPend(p); err != nil {
-				g.mu.Lock()
-				if g.peers[p.node] == p {
-					delete(g.peers, p.node)
-				}
-				g.mu.Unlock()
-				_ = p.conn.Close()
-				return fmt.Errorf("replay to peer %s: %w", p.node, err)
-			}
-		}
 	case PeerClient:
 		g.cfg.Broker.AttachClient(p.node, func(pub message.Publish) {
 			if err := p.write(message.Envelope{From: g.cfg.Local, Msg: pub}); err != nil {
@@ -364,77 +351,69 @@ func (g *Gateway) installPeer(p *peerConn) error {
 			}
 		})
 	}
+}
+
+// resume brings a reliable broker peer's session onto a connection once
+// the peer's hello is in — on the accept side from the handshake, on the
+// dial side from the acceptor's answer. A tripped breaker closes under a
+// new epoch; a peer with a new incarnation restarted, so the session
+// re-bases: the receive side starts over and the send side moves to a new
+// epoch with its unacked queue renumbered from 1. Then the unacked queue
+// is replayed. The connection is already installed, so a send racing the
+// replay goes out directly; the peer's receive side resequences it, and
+// absorbs frames it already holds.
+func (g *Gateway) resume(p *peerConn, h Hello) error {
+	if !g.cfg.Reliable || p.kind != PeerBroker {
+		return nil
+	}
+	st := g.state(p.node)
+	st.mu.Lock()
+	st.rmu.Lock()
+	healed := st.down
+	rebase := h.Incarnation != 0 && st.inc != 0 && h.Incarnation != st.inc
+	if h.Incarnation != 0 {
+		st.inc = h.Incarnation
+	}
+	if healed || rebase {
+		st.restartSendLocked()
+	}
+	if rebase {
+		st.restartRecvLocked(0)
+	}
+	st.rmu.Unlock()
+	replay := make([]message.Envelope, len(st.pend))
+	for i := range st.pend {
+		st.pend[i].attempts++
+		replay[i] = st.pend[i].env
+	}
+	st.mu.Unlock()
+	if healed {
+		g.cfg.Net.linkUp(g.cfg.Local, p.node, st.lm)
+	}
+	g.cfg.Net.Telemetry().Retransmits.Add(int64(len(replay)))
+	st.lm.Retransmits.Add(int64(len(replay)))
+	for _, env := range replay {
+		if err := p.write(env); err != nil {
+			return fmt.Errorf("replay to peer %s: %w", p.node, err)
+		}
+	}
 	return nil
 }
 
-// replayPend writes a peer's unacked resend queue to a freshly installed
-// connection in sequence order, then reopens direct sends. The queue stays
-// parked for the duration: a send racing the replay appends to pend and
-// returns, and the loop picks the entry up in its next pass — so a newer
-// frame can never overtake an unacked older one onto the new socket, which
-// would let the remote's cumulative ack trim the older frame unreceived.
-// Frames the remote had already applied are absorbed by its dedup state.
-// On error the queue stays parked and intact for the next connection.
-func (g *Gateway) replayPend(p *peerConn) error {
-	st := g.state(p.node)
-	st.mu.Lock()
-	st.parked = true
-	st.mu.Unlock()
-	tel := g.cfg.Net.Telemetry()
-	var sent uint64
-	for {
-		st.mu.Lock()
-		batch := make([]message.Envelope, 0, len(st.pend))
-		for _, env := range st.pend {
-			if env.Seq > sent {
-				batch = append(batch, env)
-			}
-		}
-		if len(batch) == 0 {
-			st.parked = false
-			st.mu.Unlock()
-			return nil
-		}
-		st.mu.Unlock()
-		for _, env := range batch {
-			tel.Retransmits.Inc()
-			if err := p.write(env); err != nil {
-				return err
-			}
-			sent = env.Seq
-		}
-	}
-}
-
 // writeToPeer sequences (when reliable) and writes one envelope to the
-// peer's current connection. With no live connection — or while a
-// reconnect replay owns the socket — reliable frames stay parked in the
-// resend queue for the replay to deliver in order; best-effort frames are
-// dead-lettered.
+// peer's current connection. With no live connection, sequenced frames
+// wait in the resend queue for the next connection's replay; best-effort
+// frames are dead-lettered.
 func (g *Gateway) writeToPeer(node message.NodeID, env message.Envelope) {
-	tel := g.cfg.Net.Telemetry()
-	if g.cfg.Reliable && reliableKind(env.Msg.Kind()) {
-		st := g.state(node)
-		st.mu.Lock()
-		st.nextSeq++
-		env.Seq = st.nextSeq
-		st.pend = append(st.pend, env)
-		if limit := g.resendLimit(); len(st.pend) > limit {
-			st.pend = st.pend[1:]
-			tel.DeadLetters.Inc()
-		}
-		parked := st.parked
-		st.mu.Unlock()
-		if parked {
-			return
-		}
+	if g.cfg.Reliable && reliableKind(env.Msg.Kind()) && !g.stamp(node, &env) {
+		return
 	}
 	g.mu.Lock()
 	p := g.peers[node]
 	g.mu.Unlock()
 	if p == nil {
 		if env.Seq == 0 {
-			tel.DeadLetters.Inc()
+			g.cfg.Net.Telemetry().DeadLetters.Inc()
 		}
 		return
 	}
@@ -443,34 +422,51 @@ func (g *Gateway) writeToPeer(node message.NodeID, env message.Envelope) {
 	}
 }
 
-// resendLimit returns the configured resend-queue bound.
-func (g *Gateway) resendLimit() int {
-	if g.cfg.ResendQueueLimit > 0 {
-		return g.cfg.ResendQueueLimit
+// stamp puts a control-plane frame into the peer's session, or reports
+// false and dead-letters it when the session refuses: the breaker is open,
+// or the frame would overflow the resend queue, which trips the breaker
+// first and drops the connection so the next one heals it.
+func (g *Gateway) stamp(node message.NodeID, env *message.Envelope) bool {
+	st := g.state(node)
+	st.mu.Lock()
+	if !st.down && len(st.pend) < st.opts.QueueLimit {
+		st.stampLocked(env, st.clk.Now())
+		st.lm.ResendDepth.Set(int64(len(st.pend)))
+		st.mu.Unlock()
+		return true
 	}
-	return 1024
+	tripped := !st.down
+	var lost []pendingMsg
+	if tripped {
+		// The receive half carries the other direction, so it says
+		// nothing about delivery: every unacked frame counts as lost.
+		lost, _, _ = st.tripLocked()
+	}
+	st.mu.Unlock()
+	if tripped {
+		g.cfg.Net.linkDown(g.cfg.Local, node, st.lm, len(lost))
+		g.mu.Lock()
+		p := g.peers[node]
+		g.mu.Unlock()
+		if p != nil {
+			g.dropPeer(p, fmt.Errorf("peer %s: resend queue overflow: %w", node, ErrLinkDown))
+		}
+	}
+	g.cfg.Net.Telemetry().DeadLetters.Inc()
+	st.lm.DeadLetters.Inc()
+	return false
 }
 
 // dropPeer removes a failed peer and surfaces the causing error, unless the
 // gateway itself is shutting down (expected teardown errors stay quiet).
-// Dialled broker peers are handed to the auto-reconnect supervisor.
+// Reliable gateways hand dialled broker peers to the reconnect supervisor.
 func (g *Gateway) dropPeer(p *peerConn, err error) {
 	g.mu.Lock()
 	closed := g.closed
-	current := g.peers[p.node] == p
-	if current {
+	if g.peers[p.node] == p {
 		delete(g.peers, p.node)
 	}
 	g.mu.Unlock()
-	if current && p.kind == PeerBroker && g.cfg.Reliable {
-		// Park the resend queue: sends pend until the next connection's
-		// replay. A stale drop (the peer was already replaced by a live
-		// connection) must not park, or the replaced peer would wedge.
-		st := g.state(p.node)
-		st.mu.Lock()
-		st.parked = true
-		st.mu.Unlock()
-	}
 	if !closed {
 		g.peerError(p.node, err)
 	}
@@ -478,15 +474,14 @@ func (g *Gateway) dropPeer(p *peerConn, err error) {
 	if p.kind == PeerClient {
 		g.cfg.Broker.DetachClient(p.node)
 	}
-	if !closed && g.cfg.AutoReconnect && p.kind == PeerBroker {
+	if !closed && g.cfg.Reliable && p.kind == PeerBroker {
 		g.superviseReconnect(p.node)
 	}
 }
 
 // superviseReconnect spawns (once per peer) the redial loop: capped
-// exponential backoff until the peer is re-established, the resend queue
-// replayed, and the read loop restarted — or until the attempt budget is
-// exhausted.
+// exponential backoff until the peer is re-established and its read loop
+// restarted, or the gateway closes.
 func (g *Gateway) superviseReconnect(node message.NodeID) {
 	st := g.state(node)
 	st.mu.Lock()
@@ -511,8 +506,10 @@ func (g *Gateway) superviseReconnect(node message.NodeID) {
 		if cap <= 0 {
 			cap = 2 * time.Second
 		}
-		backoff := base
-		for attempt := 1; ; attempt++ {
+		st.mu.Lock()
+		addr := st.addr
+		st.mu.Unlock()
+		for backoff := base; ; {
 			select {
 			case <-g.stop:
 				return
@@ -521,51 +518,19 @@ func (g *Gateway) superviseReconnect(node message.NodeID) {
 			if backoff *= 2; backoff > cap {
 				backoff = cap
 			}
-			err := g.redial(node)
-			if err == nil {
+			// The restarted read loop resumes the session on the acceptor's hello.
+			if g.dialAndInstall(node, addr) == nil && g.StartPeerReader(node) == nil {
 				g.cfg.Net.Telemetry().Reconnects.Inc()
-				return
-			}
-			if max := g.cfg.ReconnectMaxAttempts; max > 0 && attempt >= max {
-				g.abandonPeer(node, err)
 				return
 			}
 		}
 	}()
 }
 
-// redial re-establishes one peer; dialAndInstall's install replays the
-// unacked resend queue before direct sends resume.
-func (g *Gateway) redial(node message.NodeID) error {
-	st := g.state(node)
-	st.mu.Lock()
-	addr := st.addr
-	st.mu.Unlock()
-	if err := g.dialAndInstall(node, addr); err != nil {
-		return err
-	}
-	return g.StartPeerReader(node)
-}
-
-// abandonPeer gives up on a peer after the reconnect budget is spent: the
-// resend queue is drained to the dead-letter counter and the failure is
-// surfaced once more.
-func (g *Gateway) abandonPeer(node message.NodeID, err error) {
-	st := g.state(node)
-	st.mu.Lock()
-	n := len(st.pend)
-	st.pend = nil
-	st.mu.Unlock()
-	if n > 0 {
-		g.cfg.Net.Telemetry().DeadLetters.Add(int64(n))
-	}
-	g.peerError(node, fmt.Errorf("reconnect abandoned, %d unacked frames dead-lettered: %w", n, err))
-}
-
 // readLoop injects inbound envelopes into the local broker, consuming the
-// reliability layer's frames on the way: acks trim the resend queue, and
-// sequenced envelopes are acknowledged and deduplicated (a replay after
-// reconnect re-delivers a prefix the remote never saw acked).
+// gateway's own frames on the way: acks trim the session's resend queue, a
+// hello resumes it, and sequenced envelopes pass through its receive half,
+// which releases them exactly once and in order, and are acknowledged.
 func (g *Gateway) readLoop(p *peerConn, dec *message.Decoder) {
 	tel := g.cfg.Net.Telemetry()
 	for {
@@ -575,80 +540,39 @@ func (g *Gateway) readLoop(p *peerConn, dec *message.Decoder) {
 			return
 		}
 		if ack, ok := env.Msg.(message.LinkAck); ok {
-			st := g.state(p.node)
-			st.mu.Lock()
-			i := 0
-			for i < len(st.pend) && st.pend[i].Seq <= ack.Cum {
-				i++
-			}
-			st.pend = st.pend[i:]
-			st.mu.Unlock()
+			g.state(p.node).ack(ack)
 			continue
 		}
-		if env.Seq > 0 {
-			st := g.state(p.node)
-			st.mu.Lock()
-			dup := env.Seq <= st.lastRecv || st.recvAhead[env.Seq]
-			if !dup {
-				if env.Seq == st.lastRecv+1 {
-					st.lastRecv++
-					for st.recvAhead[st.lastRecv+1] {
-						delete(st.recvAhead, st.lastRecv+1)
-						st.lastRecv++
-					}
-				} else {
-					// Gap: remember the seq for dedup but inject it now —
-					// the broker tolerates reordered control traffic, and
-					// holding delivery back would wedge it if the gap frame
-					// was dead-lettered at the sender. The cumulative ack
-					// stays at the contiguous point, so the sender keeps
-					// the gap frames queued for the next replay.
-					if st.recvAhead == nil {
-						st.recvAhead = make(map[uint64]bool)
-					}
-					st.recvAhead[env.Seq] = true
-					if len(st.recvAhead) > g.resendLimit() {
-						// A gap this old cannot fill anymore: the sender's
-						// bounded queue has dead-lettered it. Abandon the
-						// gap so the dedup window stays bounded.
-						lo := env.Seq
-						for s := range st.recvAhead {
-							if s < lo {
-								lo = s
-							}
-						}
-						st.lastRecv = lo
-						delete(st.recvAhead, lo)
-						for st.recvAhead[st.lastRecv+1] {
-							delete(st.recvAhead, st.lastRecv+1)
-							st.lastRecv++
-						}
-					}
-				}
-			}
-			cum := st.lastRecv
-			st.mu.Unlock()
-			if dup {
-				tel.DupesDropped.Inc()
-			} else {
-				// Inject before acking: the dedup state above already
-				// records this seq as received, so bailing out on a failed
-				// ack write before the inject would lose the frame for
-				// good — the sender's replay would be dropped as a
-				// duplicate. An ack that dies with the connection only
-				// costs a retransmission, which dedup absorbs.
-				g.cfg.Broker.InjectRemote(p.node, env.Msg, env.Lamport)
-			}
-			tel.Acks.Inc()
-			if werr := p.write(message.Envelope{From: g.cfg.Local, Msg: message.LinkAck{Cum: cum}}); werr != nil {
-				g.dropPeer(p, werr)
+		if h, ok := parseHello(env); ok {
+			if err := g.resume(p, h); err != nil {
+				g.dropPeer(p, err)
 				return
 			}
 			continue
 		}
-		// The remote sender is the last hop, regardless of what the
-		// envelope claims.
-		g.cfg.Broker.InjectRemote(p.node, env.Msg, env.Lamport)
+		if env.Seq == 0 {
+			// The remote sender is the last hop, regardless of what the
+			// envelope claims.
+			g.cfg.Broker.InjectRemote(p.node, env.Msg, env.Lamport)
+			continue
+		}
+		v, drained, cum, epoch := g.state(p.node).receive(env)
+		switch v {
+		case rxDup, rxDupAhead:
+			tel.DupesDropped.Inc()
+		case rxInOrder:
+			// Inject before acking: an ack that dies with the connection
+			// only costs a replay, which the receive half absorbs.
+			g.cfg.Broker.InjectRemote(p.node, env.Msg, env.Lamport)
+			for _, e := range drained {
+				g.cfg.Broker.InjectRemote(p.node, e.Msg, e.Lamport)
+			}
+		}
+		tel.Acks.Inc()
+		if err := p.write(message.Envelope{From: g.cfg.Local, Msg: message.LinkAck{Cum: cum, Epoch: epoch}}); err != nil {
+			g.dropPeer(p, err)
+			return
+		}
 	}
 }
 

@@ -139,7 +139,6 @@ func startReliableTCPBroker(t *testing.T, id message.BrokerID, top *overlay.Topo
 		Listen:        "127.0.0.1:0",
 		IOTimeout:     2 * time.Second,
 		Reliable:      true,
-		AutoReconnect: true,
 		ReconnectBase: 20 * time.Millisecond,
 		ReconnectCap:  200 * time.Millisecond,
 	})

@@ -245,7 +245,7 @@ func (n *Network) Send(from, to message.NodeID, msg message.Message) error {
 	if l.rel != nil && reliableKind(msg.Kind()) {
 		return n.sendReliable(l, msg)
 	}
-	l.enqueue(n.prepareSend(l, from, to, msg, 1), true, 0)
+	l.enqueue(n.prepareSend(l, from, to, msg, 1), true)
 	return nil
 }
 
@@ -302,7 +302,7 @@ func (n *Network) SendBatch(from, to message.NodeID, msgs []message.Message) err
 			for i, msg := range best {
 				envs[i] = n.prepareSend(l, from, to, msg, 1)
 			}
-			l.enqueueBatch(envs, 0)
+			l.enqueueBatch(envs)
 		}
 		return firstErr
 	}
@@ -310,7 +310,7 @@ func (n *Network) SendBatch(from, to message.NodeID, msgs []message.Message) err
 	for i, msg := range msgs {
 		envs[i] = n.prepareSend(l, from, to, msg, 1)
 	}
-	l.enqueueBatch(envs, 0)
+	l.enqueueBatch(envs)
 	return nil
 }
 
@@ -340,8 +340,7 @@ func (n *Network) prepareSend(l *link, from, to message.NodeID, msg message.Mess
 	}
 	env := message.Envelope{From: from, Msg: msg}
 	if ts := n.tracer.Load(); ts != nil {
-		env.Trace = message.TraceOf(msg)
-		ts.RecordHop(env.Trace, from, to, msg.Kind(), n.clk.Now())
+		ts.RecordHop(message.TraceOf(msg), from, to, msg.Kind(), n.clk.Now())
 	}
 	if j := n.jnl.Load(); j != nil {
 		env.Lamport = j.ClockOf(string(from)).Tick()
@@ -387,8 +386,8 @@ func (n *Network) Close() {
 }
 
 // deliver routes one frame popped off a link queue: transport-internal
-// acks are consumed here, sequenced frames go through the reliability
-// layer's dedup/resequencer, and everything else lands on the destination
+// acks are consumed here, sequenced frames go through the reliable
+// session's receive half, and everything else lands on the destination
 // handler directly.
 func (n *Network) deliver(l *link, te timedEnvelope) {
 	if ack, ok := te.env.Msg.(message.LinkAck); ok {
@@ -396,7 +395,7 @@ func (n *Network) deliver(l *link, te timedEnvelope) {
 		return
 	}
 	if l.rel != nil && te.env.Seq > 0 {
-		n.deliverReliable(l, te)
+		n.deliverReliable(l, te.env)
 		return
 	}
 	n.deliverDirect(l.to, te.env, te.counted)
@@ -439,7 +438,7 @@ func newLockedRand(seed int64) *lockedRand { return sim.NewRand(seed) }
 // link is one direction of a connection: an unbounded FIFO queue drained by
 // a dedicated goroutine that enforces per-message delivery times. Fault
 // injection (drop/duplicate/reorder/partition) runs at enqueue time; the
-// optional reliability layer (rel) wraps control-plane traffic in a
+// optional reliable session (rel) wraps control-plane traffic in a
 // sequenced ack/retransmit protocol on top of the lossy queue.
 type link struct {
 	net  *Network
@@ -448,9 +447,6 @@ type link struct {
 	opts LinkOptions
 	rng  *lockedRand
 	rel  *relState // nil on best-effort links
-	// lm holds this direction's health instruments (RTT, retransmits,
-	// breaker state, resend depth); nil on best-effort links.
-	lm *telemetry.LinkMetrics
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -468,9 +464,6 @@ type timedEnvelope struct {
 	// counted marks frames carrying an in-flight registry token;
 	// transport-internal acks travel uncounted.
 	counted bool
-	// epoch invalidates sequenced frames that were in flight across a
-	// circuit-breaker reset.
-	epoch uint64
 }
 
 func (n *Network) newLink(from, to message.NodeID, opts LinkOptions) *link {
@@ -487,8 +480,8 @@ func (n *Network) newLink(from, to message.NodeID, opts LinkOptions) *link {
 		l.faultRng = newLockedRand(opts.Faults.Seed ^ int64(hashNodes(from, to)))
 	}
 	if opts.Reliable {
-		l.rel = newRelState(opts.Retransmit, opts.Seed^int64(hashNodes(to, from)))
-		l.lm = n.tel.Link(string(from), string(to))
+		l.rel = newRelState(opts.Retransmit, opts.Seed^int64(hashNodes(to, from)),
+			n.clk, n.tel.Link(string(from), string(to)))
 	}
 	// In scheduled mode the link has no goroutines: queueLocked posts one
 	// delivery event per admitted frame. Retransmit pacing is a timer chain
@@ -514,7 +507,7 @@ func hashNodes(a, b message.NodeID) uint64 {
 	return h
 }
 
-func (l *link) enqueue(env message.Envelope, counted bool, epoch uint64) {
+func (l *link) enqueue(env message.Envelope, counted bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.stopped {
@@ -523,15 +516,15 @@ func (l *link) enqueue(env message.Envelope, counted bool, epoch uint64) {
 		}
 		return
 	}
-	if l.admitLocked(env, counted, epoch) {
+	if l.admitLocked(env, counted) {
 		l.cond.Signal()
 	}
 }
 
 // enqueueBatch appends a run of envelopes as one atomic FIFO segment: the
 // lock is held across the whole batch, so concurrent senders cannot
-// interleave inside it. epoch stamps every frame (0 on best-effort links).
-func (l *link) enqueueBatch(envs []message.Envelope, epoch uint64) {
+// interleave inside it.
+func (l *link) enqueueBatch(envs []message.Envelope) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.stopped {
@@ -541,7 +534,7 @@ func (l *link) enqueueBatch(envs []message.Envelope, epoch uint64) {
 		return
 	}
 	for _, env := range envs {
-		l.admitLocked(env, true, epoch)
+		l.admitLocked(env, true)
 	}
 	l.cond.Signal()
 }
@@ -549,7 +542,7 @@ func (l *link) enqueueBatch(envs []message.Envelope, epoch uint64) {
 // admitLocked runs the fault injector on one frame and appends the
 // survivors (possibly twice, for a duplication fault) to the queue. It
 // reports whether anything was queued. Caller holds l.mu.
-func (l *link) admitLocked(env message.Envelope, counted bool, epoch uint64) bool {
+func (l *link) admitLocked(env message.Envelope, counted bool) bool {
 	if l.partitioned {
 		if counted {
 			l.net.reg.MsgDone(env.Msg)
@@ -566,12 +559,12 @@ func (l *link) admitLocked(env message.Envelope, counted bool, epoch uint64) boo
 			l.net.tel.InjectedDrops.Inc()
 			return false
 		}
-		l.queueLocked(env, counted, epoch)
+		l.queueLocked(env, counted)
 		if f.Dup > 0 && l.faultRng.Float64() < f.Dup {
 			if counted {
 				l.net.reg.MsgEnqueued(env.Msg)
 			}
-			l.queueLocked(env, counted, epoch)
+			l.queueLocked(env, counted)
 			l.net.tel.InjectedDups.Inc()
 		}
 		if f.Reorder > 0 && len(l.queue) >= 2 && l.faultRng.Float64() < f.Reorder {
@@ -581,7 +574,7 @@ func (l *link) admitLocked(env message.Envelope, counted bool, epoch uint64) boo
 		}
 		return true
 	}
-	l.queueLocked(env, counted, epoch)
+	l.queueLocked(env, counted)
 	return true
 }
 
@@ -609,7 +602,7 @@ func (l *link) admitAck() bool {
 
 // queueLocked stamps one envelope's delivery time and appends it. Caller
 // holds l.mu.
-func (l *link) queueLocked(env message.Envelope, counted bool, epoch uint64) {
+func (l *link) queueLocked(env message.Envelope, counted bool) {
 	delay := l.opts.Latency
 	if l.opts.Jitter > 0 {
 		delay += time.Duration(l.rng.Int63n(int64(l.opts.Jitter)))
@@ -620,7 +613,7 @@ func (l *link) queueLocked(env message.Envelope, counted bool, epoch uint64) {
 		at = l.lastAt
 	}
 	l.lastAt = at
-	l.queue = append(l.queue, timedEnvelope{env: env, deliverAt: at, counted: counted, epoch: epoch})
+	l.queue = append(l.queue, timedEnvelope{env: env, deliverAt: at, counted: counted})
 	if l.net.sched != nil {
 		// One loop event per admitted frame; each pops the queue head, so a
 		// reorder fault's queue swap manifests exactly as it would under the
